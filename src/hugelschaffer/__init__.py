@@ -30,6 +30,7 @@ from .elliptic import (
     complete_D,
     complete_E,
     complete_K,
+    scale_free_area,
     series_coeff,
     series_eval,
     series_partial,
@@ -81,6 +82,7 @@ __all__ = [
     "complete_D",
     "complete_E",
     "complete_K",
+    "scale_free_area",
     "series_coeff",
     "series_eval",
     "series_partial",

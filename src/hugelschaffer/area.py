@@ -1,17 +1,22 @@
 """Egg areas: exact closed form, series, Taylor approximants, and bounds.
 
 The exact area of the egg part is
-    (4/3) a b q [ (1 - 1/k^2) K(k) + (1 + 1/k^2) E(k) ],
-with subareas split at the extremum abscissa.  A power series in the
-modulus gives an equivalent route (and, evaluated at k = 1, a series
-representation of 1/pi).  Taylor approximants of the series bound the
-area from both sides; ``bounds`` packages those into a certificate.
+    (4/3) a b q [ (1 - 1/k^2) K(k) + (1 + 1/k^2) E(k) ]
+      = (4/3) a b q [ K(k) + E(k) - D(k) ],
+with subareas split at the extremum abscissa.  The second form, computed
+by ``elliptic.scale_free_area`` from one AGM pass, has no 1/k^2
+cancellation, so one formula holds its accuracy over the whole modulus
+range 0 <= k <= 1.  A power series in the modulus gives an equivalent
+route (and, evaluated at k = 1, a series representation of 1/pi).
+Taylor approximants of the series bound the area from both sides;
+``bounds`` packages those into a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import oracle, taylor
@@ -21,10 +26,11 @@ from .elliptic import (
     DomainError,
     complete_E,
     complete_K,
+    scale_free_area,
     series_eval,
     series_partial,
 )
-from .taylor import ApproxKind
+from .taylor import ApproxKind, TaylorApprox
 
 __all__ = [
     "AreaBreakdown",
@@ -38,9 +44,6 @@ __all__ = [
     "bounds",
     "inv_pi_partial",
 ]
-
-# Above this modulus the (1 - 1/k^2) K term cancels badly; use the series.
-_SERIES_SWITCH = 0.99
 
 
 @dataclass(frozen=True)
@@ -138,17 +141,7 @@ def area_exact(params: CurveParams) -> AreaBreakdown:
     shape = derive(params)
     k = shape.k
     scale = params.a * params.b * shape.q
-    if k == 1.0:
-        total = 8.0 * scale / 3.0
-    elif k > _SERIES_SWITCH:
-        total = scale * series_eval(AREA_SERIES, k, tol=1e-16)
-    else:
-        inv2 = 1.0 / (k * k)
-        total = (
-            (4.0 / 3.0)
-            * scale
-            * ((1.0 - inv2) * complete_K(k) + (1.0 + inv2) * complete_E(k))
-        )
+    total = scale * scale_free_area(k)
     diff = (8.0 / 3.0) * scale * k
     return AreaBreakdown(
         total=total,
@@ -175,6 +168,14 @@ def area_series_partial(params: CurveParams, n_terms: int) -> float:
     return scale * series_partial(AREA_SERIES, shape.k, n_terms)
 
 
+@lru_cache(maxsize=64)
+def _area_approx(n: int, kind: ApproxKind, beta: Optional[float]) -> TaylorApprox:
+    """Taylor approximant of the scale-free area, built once per key."""
+    if kind is ApproxKind.FIRST:
+        return taylor.first_taylor(AREA_SERIES, n)
+    return taylor.second_taylor(AREA_SERIES, n, beta)
+
+
 def area_taylor(
     params: CurveParams,
     n: int,
@@ -185,12 +186,10 @@ def area_taylor(
     shape = derive(params)
     scale = params.a * params.b * shape.q
     if kind is ApproxKind.FIRST:
-        approx = taylor.first_taylor(AREA_SERIES, n)
-    else:
-        if beta is None:
-            beta = 1.0
-        approx = taylor.second_taylor(AREA_SERIES, n, beta)
-    return scale * taylor.eval_approx(approx, shape.k)
+        beta = None
+    elif beta is None:
+        beta = 1.0
+    return scale * taylor.eval_approx(_area_approx(n, kind, beta), shape.k)
 
 
 def bounds(params: CurveParams) -> BoundsCertificate:
@@ -200,15 +199,13 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     endpoint-corrected approximant from below and the degree-2 Maclaurin
     truncation from above.
     """
-    shape = derive(params)
-    k = shape.k
-    scale = params.a * params.b * shape.q
-    exact = area_exact(params).total
+    exact = area_exact(params)
+    k, scale, total = exact.k, exact.scale, exact.total
 
     lower_coarse = 8.0 * scale / 3.0
     upper_coarse = math.pi * scale
-    lower_refined = area_taylor(params, 1, ApproxKind.SECOND, beta=1.0)
-    upper_refined = area_taylor(params, 2, ApproxKind.FIRST)
+    lower_refined = scale * taylor.eval_approx(_area_approx(1, ApproxKind.SECOND, 1.0), k)
+    upper_refined = scale * taylor.eval_approx(_area_approx(2, ApproxKind.FIRST, None), k)
 
     delta = scale * (math.pi - 8.0 / 3.0) * (1.0 - k)
     nabla = (math.pi / 8.0) * scale * k * k
@@ -217,7 +214,8 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     if w < a:
         nabla_piecewise = math.pi * b * w * w / (8.0 * a)
     elif w > a:
-        nabla_piecewise = math.pi * a**4 * b / (8.0 * w**3)
+        # pi a^4 b / (8 w^3), arranged so that w^3 cannot overflow
+        nabla_piecewise = math.pi * a * b * (a / w) ** 3 / 8.0
     else:
         nabla_piecewise = math.pi * scale / 8.0
 
@@ -229,10 +227,22 @@ def bounds(params: CurveParams) -> BoundsCertificate:
         delta=delta,
         nabla=nabla,
         delta_printed=delta_printed,
-        delta_printed_consistent=(lower_coarse + delta_printed) <= exact,
+        delta_printed_consistent=(lower_coarse + delta_printed) <= total,
         nabla_piecewise=nabla_piecewise,
-        exact_total=exact,
+        exact_total=total,
     )
+
+
+def _inv_pi_sum(N: int) -> tuple[float, float]:
+    """The 1/pi partial sum over N terms and the last term it added."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    r = 1.0
+    acc = 0.0
+    for i in range(1, N + 1):
+        r *= ((2 * i - 1) / (2 * i)) ** 2
+        acc += r / ((2 * i - 1) * (i + 1))
+    return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 
 
 def inv_pi_partial(N: int) -> float:
@@ -241,11 +251,4 @@ def inv_pi_partial(N: int) -> float:
     Strictly decreasing in N toward 1/pi; the coefficients come from the
     same double-factorial recurrence as the area series.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    r = 1.0
-    acc = 0.0
-    for i in range(1, N + 1):
-        r *= ((2 * i - 1) / (2 * i)) ** 2
-        acc += r / ((2 * i - 1) * (i + 1))
-    return 0.375 * (1.0 - acc)
+    return _inv_pi_sum(N)[0]

@@ -5,12 +5,15 @@ Subcommands: ``area``, ``bounds``, ``sample``, ``approx-table``,
 fixed flags: floats are printed with 17 significant digits (or JSON's
 shortest round-trip repr), keys keep a fixed order, lines end with LF.
 
-Exit codes: 0 success, 1 domain or verification failure, 2 usage error.
+Exit codes: 0 success, 1 domain, arithmetic or verification failure,
+2 usage error.  A result that is not finite is an arithmetic failure: it
+is reported on stderr and nothing is written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -44,6 +47,8 @@ _TARGETS = {"K": K_SERIES, "E": E_SERIES, "D": D_SERIES, "A": AREA_SERIES}
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise ArithmeticError(f"result is not finite ({x!r})")
     return format(x, ".17g")
 
 
@@ -65,7 +70,11 @@ def _rational_pi_str(pi_coeff: Fraction, const_coeff: Fraction) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2))
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity in the payload
+        raise ArithmeticError("result is not finite") from exc
+    sys.stdout.write(text)
     sys.stdout.write("\n")
 
 
@@ -267,14 +276,9 @@ def cmd_approx_table(args) -> int:
 
 def cmd_pi_series(args) -> int:
     getcontext().prec = 40
-    partial = area_mod.inv_pi_partial(args.terms)
+    partial, last_term = area_mod._inv_pi_sum(args.terms)
     inv_pi = 1 / PI_30
     abs_error = abs(Decimal(repr(partial)) - inv_pi)
-    # magnitude of the last term added to the sum
-    r = 1.0
-    for i in range(1, args.terms + 1):
-        r *= ((2 * i - 1) / (2 * i)) ** 2
-    last_term = 0.375 * r / ((2 * args.terms - 1) * (args.terms + 1))
     pairs = [
         ("terms", args.terms),
         ("partial_sum", partial),
@@ -485,11 +489,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--n must be at least 2")
     if args.command == "pi-series" and args.terms < 1:
         parser.error("--terms must be at least 1")
+    # buffered, so a command that fails part-way writes nothing to stdout
+    out = io.StringIO()
     try:
-        return args.func(args)
-    except (DomainError, ValueError) as exc:
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
+    except (DomainError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ def derive(params: CurveParams) -> DerivedShape:
         regime = Regime.DEGENERATE
     k = q * q * w / a
     u = -(q * q) * w
-    gamma = -(a * a + w * w) / (2.0 * w)
+    gamma = -0.5 * (a * (a / w) + w)  # -(a^2 + w^2) / (2w), free of a^2 or w^2 overflow
     return DerivedShape(q=q, k=k, u=u, gamma=gamma, regime=regime)
 
 

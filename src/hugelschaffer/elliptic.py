@@ -1,10 +1,11 @@
 """Complete elliptic integrals K, E and the derived integral D.
 
-Two independent evaluation routes are provided: the quadratically
-convergent AGM iteration (used by ``complete_K`` / ``complete_E``) and
-truncated power series with exact rational coefficients (``series_eval``).
-The series route also covers the scale-free egg-area function, which
-shares the same coefficient machinery.
+Two independent evaluation routes are provided: one quadratically
+convergent AGM pass that yields K and E together (used by ``complete_K``,
+``complete_E``, ``complete_D`` and ``scale_free_area``) and truncated
+power series with exact rational coefficients (``series_eval``).  The
+series route also covers the scale-free egg-area function, which shares
+the same coefficient machinery.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "series_eval",
     "series_partial",
     "series_sum",
+    "scale_free_area",
     "target_value",
     "MAX_SERIES_TERMS",
 ]
@@ -223,29 +225,14 @@ def _check_modulus(k: float, *, allow_one: bool, name: str) -> None:
         raise DomainError(f"{name} diverges at modulus 1")
 
 
-def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, 0 <= k < 1.
+def _agm(k: float) -> tuple[float, float]:
+    """K(k) and E(k) for 0 <= k < 1 from one AGM pass (DLMF 19.8).
 
-    AGM iteration: K(k) = pi / (2 * agm(1, sqrt(1 - k^2))).
+    K = pi / (2 agm(1, k')) and E = K (1 - sum_n 2^(n-1) c_n^2), c_0 = k.
+    The complementary modulus k' = sqrt((1 - k)(1 + k)) keeps its
+    relative accuracy as k -> 1, where 1 - k*k would not.
     """
-    _check_modulus(k, allow_one=False, name="K")
-    a, g = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - g) <= _AGM_TOL:
-            break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return math.pi / (2.0 * a)
-
-
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, 0 <= k <= 1.
-
-    AGM with correction terms: E = K * (1 - sum_n 2^(n-1) c_n^2), c_0 = k.
-    """
-    _check_modulus(k, allow_one=True, name="E")
-    if k == 1.0:
-        return 1.0
-    a, g = 1.0, math.sqrt(1.0 - k * k)
+    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
     correction = 0.5 * k * k  # 2^(-1) c_0^2
     pow2 = 1.0  # 2^(n-1) for the next c_n
     for _ in range(_AGM_MAX_ITER):
@@ -256,7 +243,34 @@ def complete_E(k: float) -> float:
         correction += pow2 * c * c
         pow2 *= 2.0
     bigK = math.pi / (2.0 * a)
-    return bigK * (1.0 - correction)
+    return bigK, bigK * (1.0 - correction)
+
+
+def _d_value(k: float, bigK: float, bigE: float) -> float:
+    """D(k) given K(k) and E(k): the series below the cutoff, else the ratio."""
+    if k < _D_SERIES_CUTOFF:
+        return series_eval(D_SERIES, k, tol=1e-18)
+    return (bigK - bigE) / (k * k)
+
+
+def complete_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, 0 <= k < 1.
+
+    AGM iteration: K(k) = pi / (2 * agm(1, sqrt(1 - k^2))).
+    """
+    _check_modulus(k, allow_one=False, name="K")
+    return _agm(k)[0]
+
+
+def complete_E(k: float) -> float:
+    """Complete elliptic integral of the second kind, 0 <= k <= 1.
+
+    AGM with correction terms: E = K * (1 - sum_n 2^(n-1) c_n^2), c_0 = k.
+    """
+    _check_modulus(k, allow_one=True, name="E")
+    if k == 1.0:
+        return 1.0
+    return _agm(k)[1]
 
 
 def complete_D(k: float) -> float:
@@ -266,16 +280,28 @@ def complete_D(k: float) -> float:
     cancellation of K - E near 0.
     """
     _check_modulus(k, allow_one=False, name="D")
-    if k < _D_SERIES_CUTOFF:
-        return series_eval(D_SERIES, k, tol=1e-18)
-    return (complete_K(k) - complete_E(k)) / (k * k)
+    return _d_value(k, *_agm(k))
+
+
+def scale_free_area(k: float) -> float:
+    """Egg area over a*b*q as a function of the modulus, 0 <= k <= 1.
+
+    The closed form (4/3)((1 - 1/k^2) K + (1 + 1/k^2) E) rewritten as
+    (4/3)(K + E - D), which has no 1/k^2 cancellation at either end: it is
+    pi at k = 0 (ellipse) and 8/3 at k = 1 (parabola plus line).
+    """
+    _check_modulus(k, allow_one=True, name="area")
+    if k == 1.0:
+        return 8.0 / 3.0
+    bigK, bigE = _agm(k)
+    return (4.0 / 3.0) * (bigK + bigE - _d_value(k, bigK, bigE))
 
 
 def target_value(target: SeriesTarget, x: float) -> float:
     """Direct (non-series) value of the series-defined function at x.
 
-    For the area target this is the scale-free egg area as a function of
-    the modulus: (4/3) * ((1 - 1/x^2) K + (1 + 1/x^2) E), with the ellipse
+    For the area target this is ``scale_free_area``: the scale-free egg
+    area as a function of the modulus, (4/3)(K + E - D), with the ellipse
     and parabola limits at the endpoints.
     """
     kind = target.kind
@@ -285,17 +311,4 @@ def target_value(target: SeriesTarget, x: float) -> float:
         return complete_E(x)
     if kind is SeriesKind.D:
         return complete_D(x)
-    # AREA, scale-free
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"area modulus must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return math.pi
-    if x == 1.0:
-        return 8.0 / 3.0
-    if x > 0.99:
-        # (1 - 1/x^2) K suffers cancellation against the diverging K
-        return series_eval(AREA_SERIES, x, tol=1e-16)
-    inv2 = 1.0 / (x * x)
-    return (4.0 / 3.0) * (
-        (1.0 - inv2) * complete_K(x) + (1.0 + inv2) * complete_E(x)
-    )
+    return scale_free_area(x)

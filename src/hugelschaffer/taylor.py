@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .elliptic import (
@@ -77,12 +78,16 @@ class TaylorApprox:
     beta: Optional[float]  # None for the first kind
     terms: tuple[PolyTerm, ...]
 
-    def coefficients(self) -> list[float]:
-        """Dense float coefficient list, index = power."""
+    @cached_property
+    def _dense(self) -> tuple[float, ...]:
         dense = [0.0] * (self.degree + 1)
         for t in self.terms:
             dense[t.power] += t.value()
-        return dense
+        return tuple(dense)
+
+    def coefficients(self) -> list[float]:
+        """Dense float coefficient list, index = power."""
+        return list(self._dense)
 
 
 def first_taylor(target: SeriesTarget, n: int) -> TaylorApprox:
@@ -165,7 +170,7 @@ def eval_approx(approx: TaylorApprox, x: float) -> float:
             raise DomainError(
                 f"first approximation valid inside radius {approx.target.radius}, got {x!r}"
             )
-    return _horner(approx.coefficients(), x)
+    return _horner(approx._dense, x)
 
 
 @dataclass

@@ -84,8 +84,8 @@ class TestAreaExact:
         assert result.part2 - result.part1 == pytest.approx(32 / 3)
 
     def test_near_degenerate_series_route(self):
-        # k = 0.995: closed form cancels badly, series route must still
-        # track the oracle
+        # k = 0.995, where the area once switched to the slow series;
+        # (4/3)(K + E - D) holds its accuracy here and must track the oracle
         a = 2.0
         w = a * 0.995  # q = 1, k = 0.995
         params = CurveParams(a, 1.5, w)
@@ -181,6 +181,20 @@ class TestBounds:
                 <= cert.upper_refined
                 <= cert.upper_coarse
             )
+
+    def test_large_w_is_finite_and_ordered(self):
+        # w^3 overflows here; k ~ 8e-131, where the area is pi a b q
+        cert = bounds(CurveParams(2.03, 1.62, 2.6e130))
+        fields = (
+            cert.lower_coarse,
+            cert.lower_refined,
+            cert.exact_total,
+            cert.upper_refined,
+            cert.upper_coarse,
+        )
+        assert all(math.isfinite(v) for v in fields)
+        assert all(math.isfinite(v) for v in (cert.nabla, cert.nabla_piecewise))
+        assert list(fields) == sorted(fields)
 
     def test_printed_delta_flagged_at_small_k(self):
         # w << a means small k; the published margin overshoots there

@@ -185,6 +185,35 @@ def test_exit_codes():
     assert run_cli("area", "--a", "-1", "--b", "3", "--w", "2").returncode == 1
 
 
+def test_non_finite_result_is_an_error():
+    # a*b*q overflows: no Infinity/NaN on stdout, exit 1 with a message
+    for fmt in ("json", "human", "csv"):
+        result = run_cli("area", "--a", "1e300", "--b", "1e300", "--w", "1",
+                         "--format", fmt)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
+def test_small_k_area_is_the_ellipse():
+    result = run_cli("area", "--a", "1", "--b", "1", "--w", "1e-9", "--format", "json")
+    assert result.returncode == 0
+    total = json.loads(result.stdout)["total"]
+    assert abs(total - math.pi) <= 1e-15 * math.pi
+
+
+def test_bounds_huge_w_no_traceback():
+    result = run_cli("bounds", "--a", "1", "--b", "1", "--w", "1e300", "--format", "json")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    jsonschema.validate(payload, _schema("bounds"))
+    chain = [payload[k] for k in ("lower_coarse", "lower_refined", "exact",
+                                  "upper_refined", "upper_coarse")]
+    assert chain == sorted(chain)
+
+
 def test_verify_passes():
     result = run_cli("verify", "--format", "json")
     payload = json.loads(result.stdout)

@@ -14,6 +14,7 @@ from hugelschaffer.elliptic import (
     complete_D,
     complete_E,
     complete_K,
+    scale_free_area,
     series_coeff,
     series_eval,
     series_partial,
@@ -171,3 +172,52 @@ def test_series_sum_reports_truncation():
     result = series_sum(E_SERIES, 0.5, 1e-12)
     assert abs(result.last_term) < 1e-12
     assert result.terms_used > 3
+
+
+def _log_spaced(lo, hi, n):
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(n)]
+
+
+# Both ends of the modulus domain: k down to 1e-300, and 1 - k down to one
+# ulp below 1, where the closed form used to cancel or switch to the series.
+SMALL_K = _log_spaced(1e-300, 0.05, 100)
+NEAR_ONE_K = [1.0 - d for d in _log_spaced(2.0**-53, 1e-2, 100)]
+
+
+def _reference_dps(k):
+    # digits to spare for the 1/k^2 cancellation of the reference form and
+    # for the logarithmic growth of K near k = 1
+    return 40 + 2 * max(0, -math.floor(math.log10(k))) + max(
+        0, -math.floor(math.log10(1.0 - k))
+    )
+
+
+def test_scale_free_area_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for k in SMALL_K + NEAR_ONE_K:
+        with mpmath.workdps(_reference_dps(k)):
+            m = mpmath.mpf(k) ** 2
+            ref = mpmath.mpf(4) / 3 * (
+                (1 - 1 / m) * mpmath.ellipk(m) + (1 + 1 / m) * mpmath.ellipe(m)
+            )
+            rel = float(abs((scale_free_area(k) - ref) / ref))
+        assert target_value(AREA_SERIES, k) == scale_free_area(k)
+        worst = max(worst, rel)
+    assert worst <= 1e-14
+
+
+def test_complete_K_near_one_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for k in NEAR_ONE_K:
+        with mpmath.workdps(_reference_dps(k)):
+            ref = mpmath.ellipk(mpmath.mpf(k) ** 2)
+            assert float(abs((complete_K(k) - ref) / ref)) <= 1e-15, k
+
+
+def test_scale_free_area_endpoints():
+    assert scale_free_area(1.0) == 8.0 / 3.0
+    assert scale_free_area(0.0) == pytest.approx(math.pi, rel=1e-15)
+    with pytest.raises(DomainError):
+        scale_free_area(1.5)
