@@ -237,6 +237,7 @@ def _inv_pi_sum(N: int) -> tuple[float, float]:
     """The 1/pi partial sum over N terms and the last term it added."""
     if N < 1:
         raise ValueError("N must be at least 1")
+    # own loop: the shared series generator is about 2x slower and shifts last_term by an ulp
     r = 1.0
     acc = 0.0
     for i in range(1, N + 1):

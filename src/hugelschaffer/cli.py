@@ -34,7 +34,6 @@ from .elliptic import (
     E_SERIES,
     K_SERIES,
     SeriesTarget,
-    series_coeff,
     series_eval,
     target_value,
 )
@@ -214,7 +213,7 @@ def cmd_approx_table(args) -> int:
     beta_eff = second.beta
 
     coeff_dump = [
-        (f"x^{2 * i}", _rational_pi_str(series_coeff(target, i), Fraction(0)))
+        (f"x^{2 * i}", _rational_pi_str(target.coeff(i), Fraction(0)))
         for i in range(n // 2 + 1)
     ]
     corrections = []
@@ -325,10 +324,10 @@ def _verification_checks() -> list[tuple[str, float, float]]:
     )
 
     fixtures_ok = (
-        series_coeff(K_SERIES, 2) == Fraction(9, 128)
-        and series_coeff(E_SERIES, 2) == Fraction(-3, 128)
-        and series_coeff(D_SERIES, 3) == Fraction(175, 4096)
-        and series_coeff(AREA_SERIES, 5) == Fraction(-147, 131072)
+        K_SERIES.coeff(2) == Fraction(9, 128)
+        and E_SERIES.coeff(2) == Fraction(-3, 128)
+        and D_SERIES.coeff(3) == Fraction(175, 4096)
+        and AREA_SERIES.coeff(5) == Fraction(-147, 131072)
     )
     checks.append(("table coefficient fixtures", 0.0 if fixtures_ok else 1.0, 0.0))
 

@@ -4,8 +4,12 @@ Two independent evaluation routes are provided: one quadratically
 convergent AGM pass that yields K and E together (used by ``complete_K``,
 ``complete_E``, ``complete_D`` and ``scale_free_area``) and truncated
 power series with exact rational coefficients (``series_eval``).  The
-series route also covers the scale-free egg-area function, which shares
-the same coefficient machinery.
+series route also covers the scale-free egg-area function.
+
+All four series share one form: the multiplier of pi * x^(2i) is
+r_i * num(i) / den(i), with r_i = ((2i-1)!!/(2i)!!)^2 and one (num, den)
+entry per target in ``_MULTIPLIERS``.  The exact ``Fraction`` coefficients
+and the float terms summed by ``series_sum`` both read that table.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from itertools import count
+from typing import Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "DomainError",
@@ -56,12 +60,9 @@ _AGM_MAX_ITER = 40
 _D_SERIES_CUTOFF = 0.25
 
 
-@lru_cache(maxsize=None)
 def _dblfact_ratio_sq(i: int) -> Fraction:
-    """((2i-1)!!/(2i)!!)^2 as an exact rational, by recurrence."""
-    if i == 0:
-        return Fraction(1)
-    return _dblfact_ratio_sq(i - 1) * Fraction(2 * i - 1, 2 * i) ** 2
+    """((2i-1)!!/(2i)!!)^2 = (C(2i, i) / 4^i)^2 as an exact rational."""
+    return Fraction(math.comb(2 * i, i), 4**i) ** 2
 
 
 class SeriesKind(Enum):
@@ -69,6 +70,16 @@ class SeriesKind(Enum):
     E = "E"
     D = "D"
     AREA = "Area"
+
+
+# (num(i), den(i)) of each target's multiplier r_i * num(i) / den(i); every
+# entry holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
+_MULTIPLIERS: dict[SeriesKind, Callable[[int], tuple[int, int]]] = {
+    SeriesKind.K: lambda i: (1, 2),
+    SeriesKind.E: lambda i: (-1, 4 * i - 2),
+    SeriesKind.D: lambda i: (2 * i + 1, 4 * i + 4),
+    SeriesKind.AREA: lambda i: (-1, (2 * i - 1) * (i + 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,6 @@ class SeriesTarget:
     """
 
     kind: SeriesKind
-
-    radius: float = 1.0
 
     @property
     def value_at_one(self) -> Optional[Fraction]:
@@ -97,19 +106,8 @@ class SeriesTarget:
         """Signed rational multiplier of pi * x^(2i)."""
         if i < 0:
             raise ValueError("series index must be nonnegative")
-        r = _dblfact_ratio_sq(i)
-        if self.kind is SeriesKind.K:
-            return r / 2
-        if self.kind is SeriesKind.E:
-            if i == 0:
-                return Fraction(1, 2)
-            return -r / (2 * (2 * i - 1))
-        if self.kind is SeriesKind.D:
-            return Fraction(i + 1, 2 * i + 1) * _dblfact_ratio_sq(i + 1)
-        # AREA
-        if i == 0:
-            return Fraction(1)
-        return -r / ((2 * i - 1) * (i + 1))
+        num, den = _MULTIPLIERS[self.kind](i)
+        return _dblfact_ratio_sq(i) * Fraction(num, den)
 
 
 K_SERIES = SeriesTarget(SeriesKind.K)
@@ -129,25 +127,15 @@ def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     The double-factorial ratio is carried as a float recurrence; no
     factorials are ever formed.
     """
-    kind = target.kind
+    multiplier = _MULTIPLIERS[target.kind]
     x2 = x * x
     r = 1.0  # ((2i-1)!!/(2i)!!)^2
     xp = 1.0  # x^(2i)
-    i = 0
     pi = math.pi
-    while True:
-        r_next = r * ((2 * i + 1) / (2 * i + 2)) ** 2
-        if kind is SeriesKind.K:
-            c = 0.5 * r
-        elif kind is SeriesKind.E:
-            c = 0.5 if i == 0 else -0.5 * r / (2 * i - 1)
-        elif kind is SeriesKind.D:
-            c = (i + 1) / (2 * i + 1) * r_next
-        else:  # AREA
-            c = 1.0 if i == 0 else -r / ((2 * i - 1) * (i + 1))
-        yield pi * c * xp
-        i += 1
-        r = r_next
+    for i in count():
+        num, den = multiplier(i)
+        yield pi * (r * num / den) * xp
+        r *= ((2 * i + 1) / (2 * i + 2)) ** 2
         xp *= x2
 
 
@@ -158,13 +146,30 @@ class SeriesSum(NamedTuple):
 
 
 def _check_series_domain(target: SeriesTarget, x: float) -> None:
-    if abs(x) < target.radius:
+    if abs(x) < 1.0:
         return
     if abs(x) == 1.0 and target.value_at_one is not None:
         return
     raise DomainError(
         f"series for {target.kind.value} does not converge at x={x!r}"
     )
+
+
+def _sum_terms(
+    target: SeriesTarget, x: float, tol: float, max_terms: int
+) -> SeriesSum:
+    """Add terms until one after the first drops below ``tol``, or ``max_terms``."""
+    total = 0.0
+    term = 0.0
+    n = 0
+    for term in _float_terms(target, x):
+        total += term
+        n += 1
+        if n > 1 and abs(term) < tol:
+            break
+        if n >= max_terms:
+            break
+    return SeriesSum(total, n, term)
 
 
 def series_sum(
@@ -179,17 +184,7 @@ def series_sum(
     truncation level (the magnitude of the final term added).
     """
     _check_series_domain(target, x)
-    total = 0.0
-    term = 0.0
-    n = 0
-    for term in _float_terms(target, x):
-        total += term
-        n += 1
-        if n > 1 and abs(term) < tol:
-            break
-        if n >= max_terms:
-            break
-    return SeriesSum(total, n, term)
+    return _sum_terms(target, x, tol, max_terms)
 
 
 def series_eval(
@@ -210,12 +205,8 @@ def series_partial(target: SeriesTarget, x: float, n_terms: int) -> float:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    total = 0.0
-    for n, term in enumerate(_float_terms(target, x), start=1):
-        total += term
-        if n >= n_terms:
-            break
-    return total
+    # no term is below a zero tolerance, so exactly n_terms are added
+    return _sum_terms(target, x, 0.0, n_terms).value
 
 
 def _check_modulus(k: float, *, allow_one: bool, name: str) -> None:

@@ -14,8 +14,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .curve import CurveParams
 
 __all__ = [
@@ -71,10 +69,40 @@ def _simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
     return (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi))
 
 
+# Newton converges quadratically from the cosine start; a step below the
+# tolerance leaves the node exact to rounding.
+_NEWTON_TOL = 1e-15
+_NEWTON_MAX_ITER = 100
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) from the three-term recurrence, n >= 1, |x| < 1."""
+    p_prev, p = 1.0, x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
 @lru_cache(maxsize=None)
 def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return tuple(x.tolist()), tuple(w.tolist())
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n (Golub & Welsch 1969; Numerical Recipes
+    ``gauleg``), started for the i-th root at -cos(pi (i + 3/4) / (n + 1/2)).
+    """
+    nodes, weights = [], []
+    for i in range(order):
+        x = -math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(_NEWTON_MAX_ITER):
+            p, dp = _legendre(order, x)
+            step = p / dp
+            x -= step
+            if abs(step) <= _NEWTON_TOL:
+                break
+        dp = _legendre(order, x)[1]
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x) * (1.0 + x) * dp * dp))
+    return tuple(nodes), tuple(weights)
 
 
 def _gauss_panel(

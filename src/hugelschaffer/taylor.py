@@ -164,11 +164,9 @@ def eval_approx(approx: TaylorApprox, x: float) -> float:
             )
     else:
         limit_closed = approx.target.value_at_one is not None
-        if abs(x) > approx.target.radius or (
-            abs(x) == approx.target.radius and not limit_closed
-        ):
+        if abs(x) > 1.0 or (abs(x) == 1.0 and not limit_closed):
             raise DomainError(
-                f"first approximation valid inside radius {approx.target.radius}, got {x!r}"
+                f"first approximation valid inside radius 1.0, got {x!r}"
             )
     return _horner(approx._dense, x)
 

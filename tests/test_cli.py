@@ -222,3 +222,10 @@ def test_verify_passes():
     assert payload["passed"] is True
     # looser tolerance must still pass
     assert run_cli("verify", "--tol", "1e-3").returncode == 0
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, hugelschaffer.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -115,7 +115,8 @@ def _exact_dblfact_ratio_sq(i):
     return Fraction(dd_odd, dd_even) ** 2
 
 
-@pytest.mark.parametrize("i", range(21))
+# i = 3000 is deeper than the interpreter's recursion limit
+@pytest.mark.parametrize("i", [*range(21), 3000])
 def test_K_coefficient_recurrence_matches_factorials(i):
     assert series_coeff(K_SERIES, i) == _exact_dblfact_ratio_sq(i) / 2
 
@@ -208,12 +209,22 @@ def test_scale_free_area_against_mpmath():
     assert worst <= 1e-14
 
 
-def test_complete_K_near_one_against_mpmath():
+def test_complete_K_E_D_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    for k in NEAR_ONE_K:
+    # E loses a few ulp near k = 1, where its AGM correction sum cancels
+    bounds = {"K": 1e-15, "E": 1e-14, "D": 1e-15}
+    worst = dict.fromkeys(bounds, 0.0)
+    for k in SMALL_K + NEAR_ONE_K:
         with mpmath.workdps(_reference_dps(k)):
-            ref = mpmath.ellipk(mpmath.mpf(k) ** 2)
-            assert float(abs((complete_K(k) - ref) / ref)) <= 1e-15, k
+            m = mpmath.mpf(k) ** 2
+            ref_K, ref_E = mpmath.ellipk(m), mpmath.ellipe(m)
+            refs = {"K": ref_K, "E": ref_E, "D": (ref_K - ref_E) / m}
+            values = {"K": complete_K(k), "E": complete_E(k), "D": complete_D(k)}
+            for name, ref in refs.items():
+                rel = float(abs((values[name] - ref) / ref))
+                worst[name] = max(worst[name], rel)
+    for name, bound in bounds.items():
+        assert worst[name] <= bound, (name, worst[name])
 
 
 def test_scale_free_area_endpoints():

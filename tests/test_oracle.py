@@ -9,6 +9,7 @@ from hugelschaffer.oracle import (
     DepthExhausted,
     QuadratureSpec,
     Rule,
+    _gauss_nodes,
     quad,
     quad_area,
     quad_elliptic,
@@ -103,3 +104,35 @@ def test_finite_difference_derivative_route():
     assert fd.total == pytest.approx(analytic.total, rel=1e-7)
     with pytest.raises(ValueError):
         quad_area(params, derivative="nope")
+
+
+def test_gauss_nodes_low_orders():
+    nodes, weights = _gauss_nodes(1)
+    assert nodes == pytest.approx((0.0,), abs=1e-16)
+    assert weights == pytest.approx((2.0,), rel=1e-15)
+    root = 1.0 / math.sqrt(3.0)
+    nodes, weights = _gauss_nodes(2)
+    assert nodes == pytest.approx((-root, root), abs=2e-16)
+    assert weights == pytest.approx((1.0, 1.0), rel=1e-15)
+
+
+def test_gauss_nodes_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for order in range(1, 65):
+            nodes, weights = _gauss_nodes(order)
+            assert len(nodes) == order
+            roots = []
+            for x, w in zip(nodes, weights):
+                # 40-digit Newton refinement of the root of P_n nearest x
+                root = mpmath.mpf(x)
+                for _ in range(3):
+                    p = mpmath.legendre(order, root)
+                    p_prev = mpmath.legendre(order - 1, root)
+                    root -= p * (root**2 - 1) / (order * (root * p - p_prev))
+                ref_w = 2 * (1 - root**2) / (order * mpmath.legendre(order - 1, root)) ** 2
+                assert abs(x - root) <= 2e-16, (order, x)
+                assert abs((w - ref_w) / ref_w) <= 2e-13, (order, x)
+                roots.append(root)
+            # distinct ascending roots: every root of P_n is matched once
+            assert all(a < b for a, b in zip(roots, roots[1:])), order
