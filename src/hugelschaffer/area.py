@@ -4,10 +4,10 @@ The exact area of the egg part is
     (4/3) a b q [ (1 - 1/k^2) K(k) + (1 + 1/k^2) E(k) ]
       = (4/3) a b q [ K(k) + E(k) - D(k) ],
 with subareas split at the extremum abscissa.  The second form, computed
-by ``elliptic.scale_free_area`` from one AGM pass, has no 1/k^2
-cancellation, so one formula holds its accuracy over the whole modulus
-range 0 <= k <= 1.  A power series in the modulus gives an equivalent
-route (and, evaluated at k = 1, a series representation of 1/pi).
+by ``elliptic.scale_free_area`` from the AGM closed forms (no series), has
+no 1/k^2 cancellation and holds its accuracy over the whole modulus range
+0 <= k <= 1.  A power series in the modulus gives an independent route
+(and, evaluated at k = 1, a series representation of 1/pi).
 Taylor approximants of the series bound the area from both sides;
 ``bounds`` packages those into a certificate.
 """
@@ -24,6 +24,7 @@ from .curve import CurveParams, derive
 from .elliptic import (
     AREA_SERIES,
     DomainError,
+    complete_D,
     complete_E,
     complete_K,
     scale_free_area,
@@ -82,7 +83,8 @@ def integral_I(index: int, k: float) -> float:
     """Closed forms of the three building-block integrals over [0, pi/2].
 
     I1 = 1/3; I2 and I3 are the sin^2-weighted radical integrals expressed
-    through K and E.
+    through K, E and D.  I2 = (E + (1 - k^2) D)/3 has no cancellation; I3
+    still divides a difference of K and E by k^4.
     """
     if index == 1:
         return 1.0 / 3.0
@@ -90,10 +92,10 @@ def integral_I(index: int, k: float) -> float:
         raise ValueError("index must be 1, 2 or 3")
     if not (0.0 < k < 1.0):
         raise DomainError(f"modulus must lie in (0, 1) for I{index}, got {k!r}")
+    if index == 2:
+        return (complete_E(k) + (1.0 - k) * (1.0 + k) * complete_D(k)) / 3.0
     k2 = k * k
     bigK, bigE = complete_K(k), complete_E(k)
-    if index == 2:
-        return (1.0 - k2) / (3.0 * k2) * bigK + (2.0 * k2 - 1.0) / (3.0 * k2) * bigE
     return (2.0 * k2 - 2.0) / (3.0 * k2 * k2) * bigK + (2.0 - k2) / (3.0 * k2 * k2) * bigE
 
 

@@ -1,10 +1,13 @@
 """Complete elliptic integrals K, E and the derived integral D.
 
-Two independent evaluation routes are provided: one quadratically
-convergent AGM pass that yields K and E together (used by ``complete_K``,
-``complete_E``, ``complete_D`` and ``scale_free_area``) and truncated
-power series with exact rational coefficients (``series_eval``).  The
-series route also covers the scale-free egg-area function.
+Two independent evaluation routes are provided.  The closed forms
+(``complete_K``, ``complete_E``, ``complete_D``, ``scale_free_area``) all
+rest on one quadratically convergent AGM pass, ``_agm``, that yields K and
+D = (K - E)/k^2 together without cancellation; E and the egg area are
+identities on top of it, with Legendre's relation above k = 1/sqrt(2).
+They never call the series code.  The second route is truncated power
+series with exact rational coefficients (``series_eval``), which also
+covers the scale-free egg-area function.
 
 All four series share one form: the multiplier of pi * x^(2i) is
 r_i * num(i) / den(i), with r_i = ((2i-1)!!/(2i)!!)^2 and one (num, den)
@@ -50,14 +53,9 @@ class DomainError(ValueError):
 # decay like 1/i^3, so a tolerance may not be reachable in finite time.
 MAX_SERIES_TERMS = 10_000_000
 
-# The AGM gap can stagnate at one ulp above the target, so the loop is
-# additionally capped; quadratic convergence needs well under 10 rounds.
-_AGM_TOL = 1e-16
+# Safety cap on AGM rounds; the one-ulp stop test ends every pass in fewer
+# than 10 rounds over the whole float domain.
 _AGM_MAX_ITER = 40
-
-# D(x) = (K(x) - E(x))/x^2 loses relative accuracy to cancellation as
-# x -> 0; below this threshold the series is used instead.
-_D_SERIES_CUTOFF = 0.25
 
 
 def _dblfact_ratio_sq(i: int) -> Fraction:
@@ -216,32 +214,44 @@ def _check_modulus(k: float, *, allow_one: bool, name: str) -> None:
         raise DomainError(f"{name} diverges at modulus 1")
 
 
-def _agm(k: float) -> tuple[float, float]:
-    """K(k) and E(k) for 0 <= k < 1 from one AGM pass (DLMF 19.8).
+def _complement(k: float) -> float:
+    """k' = sqrt((1 - k)(1 + k)), which keeps its relative accuracy as k -> 1."""
+    return math.sqrt((1.0 - k) * (1.0 + k))
 
-    K = pi / (2 agm(1, k')) and E = K (1 - sum_n 2^(n-1) c_n^2), c_0 = k.
-    The complementary modulus k' = sqrt((1 - k)(1 + k)) keeps its
-    relative accuracy as k -> 1, where 1 - k*k would not.
+
+def _agm(k: float, kp: float) -> tuple[float, float]:
+    """K(k) and D(k) for 0 <= k < 1 from one AGM pass started at (1, k').
+
+    K = pi / (2 a_N) and D = K (1/2 + sum_{n>=1} 2^(n-1) (c_n/k)^2) (DLMF
+    19.8), with c_n/k carried by c_{n+1} = c_n^2 / (4 a_{n+1}) from
+    c_0/k = 1, so that nothing cancels as k -> 0.
     """
-    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    correction = 0.5 * k * k  # 2^(-1) c_0^2
+    a, g = 1.0, kp
+    ck = 1.0  # c_n / k
     pow2 = 1.0  # 2^(n-1) for the next c_n
+    total = 0.5
     for _ in range(_AGM_MAX_ITER):
-        if abs(a - g) <= _AGM_TOL:
+        if abs(a - g) <= 2.0**-52 * a:  # one ulp of a
             break
-        c = 0.5 * (a - g)
         a, g = 0.5 * (a + g), math.sqrt(a * g)
-        correction += pow2 * c * c
+        ck *= ck * k / (4.0 * a)
+        total += pow2 * ck * ck
         pow2 *= 2.0
     bigK = math.pi / (2.0 * a)
-    return bigK, bigK * (1.0 - correction)
+    return bigK, bigK * total
 
 
-def _d_value(k: float, bigK: float, bigE: float) -> float:
-    """D(k) given K(k) and E(k): the series below the cutoff, else the ratio."""
-    if k < _D_SERIES_CUTOFF:
-        return series_eval(D_SERIES, k, tol=1e-18)
-    return (bigK - bigE) / (k * k)
+def _e_value(k: float, kp: float, bigK: float, bigD: float) -> float:
+    """E(k) from K(k) and D(k).
+
+    E = K - k^2 D while k <= k'.  Above, K - k^2 D cancels, and Legendre's
+    relation (DLMF 19.7.1) with the AGM pass on the complementary modulus
+    gives E = (pi/2 + K k'^2 D(k')) / K(k').
+    """
+    if k <= kp:
+        return bigK - k * k * bigD
+    compK, compD = _agm(kp, k)
+    return (0.5 * math.pi + bigK * kp * kp * compD) / compK
 
 
 def complete_K(k: float) -> float:
@@ -250,42 +260,49 @@ def complete_K(k: float) -> float:
     AGM iteration: K(k) = pi / (2 * agm(1, sqrt(1 - k^2))).
     """
     _check_modulus(k, allow_one=False, name="K")
-    return _agm(k)[0]
+    return _agm(k, _complement(k))[0]
 
 
 def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind, 0 <= k <= 1.
 
-    AGM with correction terms: E = K * (1 - sum_n 2^(n-1) c_n^2), c_0 = k.
+    E = K - k^2 D for k <= 1/sqrt(2), and Legendre's relation through the
+    complementary modulus above it; see ``_e_value``.
     """
     _check_modulus(k, allow_one=True, name="E")
     if k == 1.0:
         return 1.0
-    return _agm(k)[1]
+    kp = _complement(k)
+    return _e_value(k, kp, *_agm(k, kp))
 
 
 def complete_D(k: float) -> float:
     """D(k) = (K(k) - E(k)) / k^2 for 0 <= k < 1, with D(0) = pi/4.
 
-    Small moduli are routed through the series to avoid the catastrophic
-    cancellation of K - E near 0.
+    Summed from the AGM pass as K (1/2 + sum 2^(n-1) (c_n/k)^2), which
+    never forms the cancelling difference K - E.
     """
     _check_modulus(k, allow_one=False, name="D")
-    return _d_value(k, *_agm(k))
+    return _agm(k, _complement(k))[1]
 
 
 def scale_free_area(k: float) -> float:
     """Egg area over a*b*q as a function of the modulus, 0 <= k <= 1.
 
     The closed form (4/3)((1 - 1/k^2) K + (1 + 1/k^2) E) rewritten as
-    (4/3)(K + E - D), which has no 1/k^2 cancellation at either end: it is
-    pi at k = 0 (ellipse) and 8/3 at k = 1 (parabola plus line).
+    (4/3)(K + E - D), which has no 1/k^2 cancellation: it is pi at k = 0
+    (ellipse) and 8/3 at k = 1 (parabola plus line).  Above k = k', where
+    K - D cancels, the equal form (4/3)(2E - k'^2 D) is used.
     """
     _check_modulus(k, allow_one=True, name="area")
     if k == 1.0:
         return 8.0 / 3.0
-    bigK, bigE = _agm(k)
-    return (4.0 / 3.0) * (bigK + bigE - _d_value(k, bigK, bigE))
+    kp = _complement(k)
+    bigK, bigD = _agm(k, kp)
+    bigE = _e_value(k, kp, bigK, bigD)
+    if k <= kp:
+        return (4.0 / 3.0) * (bigK + bigE - bigD)
+    return (4.0 / 3.0) * (2.0 * bigE - kp * kp * bigD)
 
 
 def target_value(target: SeriesTarget, x: float) -> float:

@@ -19,6 +19,7 @@ from hugelschaffer.curve import CurveParams, derive
 from hugelschaffer.elliptic import AREA_SERIES, DomainError, target_value
 from hugelschaffer.oracle import quad, quad_area
 from hugelschaffer.taylor import ApproxKind
+from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 
 def _random_triples(count=20, seed=20240229):
@@ -46,6 +47,17 @@ class TestBuildingBlockIntegrals:
             math.pi / 2,
         )
         assert abs(integral_I(2, k) - oracle) < 1e-10
+
+    def test_I2_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for k in SMALL_K + BULK_K + NEAR_ONE_K:
+            with mpmath.workdps(reference_dps(k)):
+                m = mpmath.mpf(k) ** 2
+                bigK, bigE = mpmath.ellipk(m), mpmath.ellipe(m)
+                ref = ((2 * m - 1) * bigE + (1 - m) * bigK) / (3 * m)
+                worst = max(worst, float(abs((integral_I(2, k) - ref) / ref)))
+        assert worst <= 1e-15, worst
 
     def test_I3_small_k_limit(self):
         # as k -> 0 the integrand tends to sin^2 cos^2, whose integral is

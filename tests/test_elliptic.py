@@ -1,10 +1,12 @@
 """Tests for the complete elliptic integrals and their series machinery."""
 
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
+from hugelschaffer import elliptic
 from hugelschaffer.elliptic import (
     AREA_SERIES,
     D_SERIES,
@@ -22,6 +24,7 @@ from hugelschaffer.elliptic import (
     target_value,
 )
 from hugelschaffer.oracle import quad_elliptic
+from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 # Frozen oracle values: adaptive Simpson quadrature of the defining
 # integrals at abs_tol 1e-11 (hugelschaffer.oracle defaults).
@@ -78,7 +81,7 @@ class TestCompleteD:
         assert complete_D(0.5) == pytest.approx(expected, abs=1e-12)
 
     def test_series_vs_cancelling_ratio_small_k(self):
-        # the ratio route loses digits here; the series must stay close
+        # the ratio (K - E)/k^2 loses digits here; the AGM sum for D does not
         k = 0.1
         ratio = (complete_K(k) - complete_E(k)) / (k * k)
         assert abs(complete_D(k) - ratio) < 1e-10
@@ -175,30 +178,11 @@ def test_series_sum_reports_truncation():
     assert result.terms_used > 3
 
 
-def _log_spaced(lo, hi, n):
-    step = (math.log(hi) - math.log(lo)) / (n - 1)
-    return [math.exp(math.log(lo) + i * step) for i in range(n)]
-
-
-# Both ends of the modulus domain: k down to 1e-300, and 1 - k down to one
-# ulp below 1, where the closed form used to cancel or switch to the series.
-SMALL_K = _log_spaced(1e-300, 0.05, 100)
-NEAR_ONE_K = [1.0 - d for d in _log_spaced(2.0**-53, 1e-2, 100)]
-
-
-def _reference_dps(k):
-    # digits to spare for the 1/k^2 cancellation of the reference form and
-    # for the logarithmic growth of K near k = 1
-    return 40 + 2 * max(0, -math.floor(math.log10(k))) + max(
-        0, -math.floor(math.log10(1.0 - k))
-    )
-
-
 def test_scale_free_area_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
-    for k in SMALL_K + NEAR_ONE_K:
-        with mpmath.workdps(_reference_dps(k)):
+    for k in SMALL_K + BULK_K + NEAR_ONE_K:
+        with mpmath.workdps(reference_dps(k)):
             m = mpmath.mpf(k) ** 2
             ref = mpmath.mpf(4) / 3 * (
                 (1 - 1 / m) * mpmath.ellipk(m) + (1 + 1 / m) * mpmath.ellipe(m)
@@ -206,16 +190,15 @@ def test_scale_free_area_against_mpmath():
             rel = float(abs((scale_free_area(k) - ref) / ref))
         assert target_value(AREA_SERIES, k) == scale_free_area(k)
         worst = max(worst, rel)
-    assert worst <= 1e-14
+    assert worst <= 1e-15, worst
 
 
 def test_complete_K_E_D_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    # E loses a few ulp near k = 1, where its AGM correction sum cancels
-    bounds = {"K": 1e-15, "E": 1e-14, "D": 1e-15}
+    bounds = {"K": 1e-15, "E": 1e-15, "D": 1e-15}
     worst = dict.fromkeys(bounds, 0.0)
-    for k in SMALL_K + NEAR_ONE_K:
-        with mpmath.workdps(_reference_dps(k)):
+    for k in SMALL_K + BULK_K + NEAR_ONE_K:
+        with mpmath.workdps(reference_dps(k)):
             m = mpmath.mpf(k) ** 2
             ref_K, ref_E = mpmath.ellipk(m), mpmath.ellipe(m)
             refs = {"K": ref_K, "E": ref_E, "D": (ref_K - ref_E) / m}
@@ -232,3 +215,32 @@ def test_scale_free_area_endpoints():
     assert scale_free_area(0.0) == pytest.approx(math.pi, rel=1e-15)
     with pytest.raises(DomainError):
         scale_free_area(1.5)
+
+
+def test_closed_forms_never_sum_series(monkeypatch):
+    def no_series(target, x):
+        raise AssertionError(f"series summed for {target.kind.value} at {x!r}")
+
+    monkeypatch.setattr(elliptic, "_float_terms", no_series)
+    for k in SMALL_K + BULK_K + NEAR_ONE_K:
+        for f in (complete_K, complete_E, complete_D, scale_free_area):
+            f(k)
+
+
+def test_agm_stops_within_ten_square_roots(monkeypatch):
+    # a stop tolerance below one ulp of the mean may never be met, and the
+    # pass would then run to its 40-round cap (41 square roots)
+    calls = 0
+
+    def counting_sqrt(x):
+        nonlocal calls
+        calls += 1
+        return math.sqrt(x)
+
+    namespace = types.SimpleNamespace(**vars(math))
+    namespace.sqrt = counting_sqrt
+    monkeypatch.setattr(elliptic, "math", namespace)
+    for k in [0.0, 0.24, *GRID, *SMALL_K, *BULK_K, *NEAR_ONE_K]:
+        calls = 0
+        complete_K(k)
+        assert calls <= 10, (k, calls)
