@@ -131,9 +131,11 @@ def point_at(params: CurveParams, t: float) -> PlanePoint:
     x(t) = -q^2 w sin^2 t + cos t * sqrt(a^2 - q^4 w^2 sin^2 t),
     y(t) = q b sin t.  The radicand is nonnegative for k <= 1.
     """
-    a, b, w = params.a, params.b, params.w
     q = derive(params).q
-    q2w = q * q * w
+    return _point(params.a, params.b, q, q * q * params.w, t)
+
+
+def _point(a: float, b: float, q: float, q2w: float, t: float) -> PlanePoint:
     s, c = math.sin(t), math.cos(t)
     radicand = a * a - q2w * q2w * s * s
     root = math.sqrt(max(radicand, 0.0))
@@ -144,7 +146,10 @@ def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
     """n points on a uniform t-grid over [0, 2*pi], closed at (a, 0)."""
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    points = [point_at(params, 2.0 * math.pi * j / (n - 1)) for j in range(n - 1)]
+    a, b = params.a, params.b
+    q = derive(params).q
+    q2w = q * q * params.w
+    points = [_point(a, b, q, q2w, 2.0 * math.pi * j / (n - 1)) for j in range(n - 1)]
     points.append(points[0])  # exact closure at t = 2*pi
     return points
 

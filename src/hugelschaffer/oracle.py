@@ -64,11 +64,6 @@ class DepthExhausted(RuntimeError):
         self.err_bound = err_bound
 
 
-def _simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    return (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi))
-
-
 # Newton converges quadratically from the cosine start; a step below the
 # tolerance leaves the node exact to rounding.
 _NEWTON_TOL = 1e-15
@@ -122,33 +117,91 @@ def quad(
 ) -> float:
     """Adaptive bisection quadrature of f over [lo, hi].
 
-    The panel rule is Simpson (with the classic S/15 error estimate) or a
-    fixed-order Gauss-Legendre rule (whole-vs-halves estimate).  Raises
-    ``DepthExhausted`` when ``spec.max_depth`` bisections are not enough.
+    Each node compares its panel with the sum of its two halves and,
+    when the estimate misses its tolerance (halved per level), splits.
+
+    - Simpson carries f at the ends and the midpoint of each panel down
+      to its two halves, so a node evaluates f only at its two new
+      quarter points and f is called once per abscissa.  The estimate is
+      the classic S/15, added to the halves as Richardson's correction.
+      A panel also needs its parent's estimate to have been within
+      ``_SIMPSON_PARENT_ERR_FACTOR`` times its own tolerance, which stops
+      false convergence.
+    - Gauss-Legendre of order ``spec.gauss_order`` returns the sum of the
+      halves; the whole-vs-halves difference is only the estimate, since
+      extrapolating with it assumes a first-order rule.
+
+    Raises ``DepthExhausted`` when ``spec.max_depth`` bisections are not
+    enough.
     """
+    if lo == hi:
+        return 0.0
     if spec.rule is Rule.ADAPTIVE_SIMPSON:
-        panel = _simpson
-        shrink = 15.0
-    else:
-        panel = lambda g, a, b: _gauss_panel(g, a, b, spec.gauss_order)
-        shrink = 1.0
+        return _adaptive_simpson(f, lo, hi, spec)
+    return _adaptive_gauss(f, lo, hi, spec)
+
+
+# Simpson's error estimate shrinks about 32x per halving while the
+# tolerance halves.  A panel whose parent's estimate exceeded this many
+# times the panel's own tolerance is predicted to miss it by 8x, so an
+# estimate that meets it anyway is a coincidence of the sample points
+# (false convergence), and the panel is split again.  On K and E
+# quadratures a factor of 64 behaves the same; 16 raises DepthExhausted
+# more often and costs time.
+_SIMPSON_PARENT_ERR_FACTOR = 256.0
+
+
+def _adaptive_simpson(
+    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
+) -> float:
+    max_depth = spec.max_depth
+
+    def recurse(
+        a: float, b: float, fa: float, fm: float, fb: float,
+        whole: float, tol: float, parent_err: float, depth: int,
+    ) -> float:
+        mid = 0.5 * (a + b)
+        f_left = f(0.5 * (a + mid))
+        f_right = f(0.5 * (mid + b))
+        left = (mid - a) / 6.0 * (fa + 4.0 * f_left + fm)
+        right = (b - mid) / 6.0 * (fm + 4.0 * f_right + fb)
+        err = (left + right - whole) / 15.0
+        abs_err = abs(err)
+        if (
+            abs_err <= tol and parent_err <= _SIMPSON_PARENT_ERR_FACTOR * tol
+        ) or (b - a) < 1e-300:
+            return left + right + err
+        if depth >= max_depth:
+            raise DepthExhausted(left + right, abs_err)
+        return recurse(
+            a, mid, fa, f_left, fm, left, 0.5 * tol, abs_err, depth + 1
+        ) + recurse(mid, b, fm, f_right, fb, right, 0.5 * tol, abs_err, depth + 1)
+
+    fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    return recurse(lo, hi, fa, fm, fb, whole, spec.abs_tol, 0.0, 0)
+
+
+def _adaptive_gauss(
+    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
+) -> float:
+    order, max_depth = spec.gauss_order, spec.max_depth
 
     def recurse(a: float, b: float, whole: float, tol: float, depth: int) -> float:
         mid = 0.5 * (a + b)
-        left = panel(f, a, mid)
-        right = panel(f, mid, b)
-        err = (left + right - whole) / shrink
-        if abs(err) <= tol or (b - a) < 1e-300:
-            return left + right + err
-        if depth >= spec.max_depth:
-            raise DepthExhausted(left + right, abs(err))
+        left = _gauss_panel(f, a, mid, order)
+        right = _gauss_panel(f, mid, b, order)
+        total = left + right
+        err = abs(total - whole)
+        if err <= tol or (b - a) < 1e-300:
+            return total
+        if depth >= max_depth:
+            raise DepthExhausted(total, err)
         return recurse(a, mid, left, 0.5 * tol, depth + 1) + recurse(
             mid, b, right, 0.5 * tol, depth + 1
         )
 
-    if lo == hi:
-        return 0.0
-    return recurse(lo, hi, panel(f, lo, hi), spec.abs_tol, 0)
+    return recurse(lo, hi, _gauss_panel(f, lo, hi, order), spec.abs_tol, 0)
 
 
 def quad_elliptic(
@@ -175,31 +228,34 @@ class AreaQuadrature(NamedTuple):
 
 
 def _parametrization(params: CurveParams):
-    """Local x(t), y(t), x'(t) of the egg part (independent re-derivation)."""
+    """Local x(t), y(t) and y(t) x'(t) of the egg part (independent
+    re-derivation).  The product shares one sin, cos and root per point."""
     a, b, w = params.a, params.b, params.w
     q = 1.0 if w <= a else a / w
+    qb = q * b
+    a2 = a * a
     q2w = q * q * w
     q4w2 = q2w * q2w
 
     def y(t: float) -> float:
-        return q * b * math.sin(t)
+        return qb * math.sin(t)
 
     def x(t: float) -> float:
         s, c = math.sin(t), math.cos(t)
-        return -q2w * s * s + c * math.sqrt(max(a * a - q4w2 * s * s, 0.0))
+        return -q2w * s * s + c * math.sqrt(max(a2 - q4w2 * s * s, 0.0))
 
-    def xprime(t: float) -> float:
+    def y_xprime(t: float) -> float:
         s, c = math.sin(t), math.cos(t)
-        root = math.sqrt(max(a * a - q4w2 * s * s, 0.0))
-        out = -2.0 * q2w * s * c - s * root
+        root = math.sqrt(max(a2 - q4w2 * s * s, 0.0))
+        xprime = -2.0 * q2w * s * c - s * root
         if root > 1e-12:
-            out -= q4w2 * s * c * c / root
+            xprime -= q4w2 * s * c * c / root
         else:
             # k = 1 limit: root = a|cos t|, so the quotient stays finite
-            out -= q4w2 * s * abs(c) / a
-        return out
+            xprime -= q4w2 * s * abs(c) / a
+        return qb * s * xprime
 
-    return x, y, xprime
+    return x, y, y_xprime
 
 
 def quad_area(
@@ -213,16 +269,15 @@ def quad_area(
     selects the analytic x'(t) or a central finite difference (h = 1e-6),
     the latter guarding against mistakes in the derivative itself.
     """
-    x, y, xprime = _parametrization(params)
+    x, y, y_xprime = _parametrization(params)
     if derivative == "fd":
         h = 1e-6
-        dx = lambda t: (x(t + h) - x(t - h)) / (2.0 * h)
+        integrand = lambda t: y(t) * ((x(t + h) - x(t - h)) / (2.0 * h))
     elif derivative == "analytic":
-        dx = xprime
+        integrand = y_xprime
     else:
         raise ValueError("derivative must be 'analytic' or 'fd'")
 
-    integrand = lambda t: y(t) * dx(t)
     part2 = -2.0 * quad(integrand, 0.0, 0.5 * math.pi, spec)
     part1 = -2.0 * quad(integrand, 0.5 * math.pi, math.pi, spec)
     return AreaQuadrature(part1 + part2, part1, part2)

@@ -1,11 +1,13 @@
 """Tests for the quadrature oracle itself."""
 
 import math
+import random
 
 import pytest
 
 from hugelschaffer.curve import CurveParams
 from hugelschaffer.oracle import (
+    DEFAULT_SPEC,
     DepthExhausted,
     QuadratureSpec,
     Rule,
@@ -14,6 +16,7 @@ from hugelschaffer.oracle import (
     quad_area,
     quad_elliptic,
 )
+from moduli import BULK_K
 
 
 def test_constant_integrand():
@@ -92,9 +95,50 @@ def test_quad_area_halves_difference():
 def test_quad_area_matches_closed_form():
     from hugelschaffer.area import area_exact
 
-    for params in (CurveParams(4, 3, 2), CurveParams(2, 3, 4)):
-        exact = area_exact(params).total
-        assert abs(quad_area(params).total - exact) / exact < 1e-8
+    # unit-scale bulk eggs, half with w < a and half with w > a
+    rng = random.Random(11)
+    eggs = [CurveParams(4, 3, 2), CurveParams(2, 3, 4)]
+    for k in BULK_K[:50]:
+        a, b = rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)
+        eggs.append(CurveParams(a, b, k * a if rng.random() < 0.5 else a / k))
+    for spec in (DEFAULT_SPEC, QuadratureSpec(rule=Rule.GAUSS_LEGENDRE)):
+        for params in eggs:
+            exact = area_exact(params).total
+            err = abs(quad_area(params, spec).total - exact) / exact
+            assert err < 1e-13, (spec.rule, params, err)
+
+
+def test_simpson_evaluates_each_abscissa_once():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / math.sqrt(1.0 - 0.81 * math.sin(t) ** 2)
+
+    quad(f, 0.0, math.pi / 2)
+    assert len(calls) > 100  # the recursion went deep
+    assert len(calls) == len(set(calls))
+
+
+# Moduli where Simpson's S/15 estimate once met the tolerance by a
+# coincidence of its sample points, 1e-9 to 8e-6 away from the integral.
+@pytest.mark.parametrize(
+    "kind, k",
+    [
+        ("E", 0.8142303228192636),
+        ("K", 0.7414000877013012),
+        ("E", 0.8670390240252784),
+        ("K", 0.3766853873533353),
+    ],
+)
+@pytest.mark.parametrize("rule", list(Rule))
+def test_quad_elliptic_no_false_convergence(kind, k, rule):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ellip = mpmath.ellipk if kind == "K" else mpmath.ellipe
+        ref = float(ellip(mpmath.mpf(k) ** 2))
+    value = quad_elliptic(kind, k, QuadratureSpec(rule=rule))
+    assert abs(value - ref) / ref < 1e-13
 
 
 def test_finite_difference_derivative_route():
