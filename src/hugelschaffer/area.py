@@ -204,9 +204,12 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     exact = area_exact(params)
     k, scale, total = exact.k, exact.scale, exact.total
 
-    lower_coarse = 8.0 * scale / 3.0
+    # The degree-1 approximant is written as 8/3 plus a nonnegative term,
+    # so rounding cannot put it below the coarse bound; 1 - k is exact
+    # for k >= 1/2.
+    lower_coarse = scale * (8.0 / 3.0)
     upper_coarse = math.pi * scale
-    lower_refined = scale * taylor.eval_approx(_area_approx(1, ApproxKind.SECOND, 1.0), k)
+    lower_refined = scale * (8.0 / 3.0 + (math.pi - 8.0 / 3.0) * (1.0 - k))
     upper_refined = scale * taylor.eval_approx(_area_approx(2, ApproxKind.FIRST, None), k)
 
     delta = scale * (math.pi - 8.0 / 3.0) * (1.0 - k)

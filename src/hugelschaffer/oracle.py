@@ -35,25 +35,25 @@ class Rule(Enum):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    abs_tol: float = 1e-11
-    max_depth: int = 40
     rule: Rule = Rule.ADAPTIVE_SIMPSON
-    gauss_order: int = 8
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 1e-15:
-            raise ValueError("abs_tol must be at least 1e-15")
-        if not (0 < self.max_depth <= 60):
-            raise ValueError("max_depth must lie in (0, 60]")
-        if self.gauss_order < 1:
-            raise ValueError("gauss_order must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
+# A panel at depth d accepts when its error estimate is at most
+# max(_ABS_TOL * 2**-d, _ROUNDING * |root estimate|).  The first term is
+# the tolerance of a scale-free integral of order one, split evenly
+# between the halves; the second is the rounding of the panel sums,
+# which no bisection can undercut, so it is never halved.
+_ABS_TOL = 1e-11
+_ROUNDING = 2.0**-52
+_MAX_DEPTH = 40
+_GAUSS_ORDER = 8
+
+
 class DepthExhausted(RuntimeError):
-    """Adaptive subdivision hit max_depth before reaching the tolerance."""
+    """Adaptive subdivision hit _MAX_DEPTH before reaching the tolerance."""
 
     def __init__(self, best: float, err_bound: float):
         super().__init__(
@@ -100,10 +100,8 @@ def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def _gauss_panel(
-    f: Callable[[float], float], lo: float, hi: float, order: int
-) -> float:
-    nodes, weights = _gauss_nodes(order)
+def _gauss_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
+    nodes, weights = _gauss_nodes(_GAUSS_ORDER)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     return half * sum(wi * f(mid + half * xi) for xi, wi in zip(nodes, weights))
@@ -118,7 +116,7 @@ def quad(
     """Adaptive bisection quadrature of f over [lo, hi].
 
     Each node compares its panel with the sum of its two halves and,
-    when the estimate misses its tolerance (halved per level), splits.
+    when the estimate misses its tolerance (see ``_ABS_TOL``), splits.
 
     - Simpson carries f at the ends and the midpoint of each panel down
       to its two halves, so a node evaluates f only at its two new
@@ -127,18 +125,19 @@ def quad(
       A panel also needs its parent's estimate to have been within
       ``_SIMPSON_PARENT_ERR_FACTOR`` times its own tolerance, which stops
       false convergence.
-    - Gauss-Legendre of order ``spec.gauss_order`` returns the sum of the
+    - Gauss-Legendre of order ``_GAUSS_ORDER`` returns the sum of the
       halves; the whole-vs-halves difference is only the estimate, since
-      extrapolating with it assumes a first-order rule.
+      extrapolating with it assumes a first-order rule.  The root is
+      always split, because no parent estimate confirms its difference.
 
-    Raises ``DepthExhausted`` when ``spec.max_depth`` bisections are not
+    Raises ``DepthExhausted`` when ``_MAX_DEPTH`` bisections are not
     enough.
     """
     if lo == hi:
         return 0.0
     if spec.rule is Rule.ADAPTIVE_SIMPSON:
-        return _adaptive_simpson(f, lo, hi, spec)
-    return _adaptive_gauss(f, lo, hi, spec)
+        return _adaptive_simpson(f, lo, hi)
+    return _adaptive_gauss(f, lo, hi)
 
 
 # Simpson's error estimate shrinks about 32x per halving while the
@@ -151,11 +150,7 @@ def quad(
 _SIMPSON_PARENT_ERR_FACTOR = 256.0
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> float:
-    max_depth = spec.max_depth
-
+def _adaptive_simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
     def recurse(
         a: float, b: float, fa: float, fm: float, fb: float,
         whole: float, tol: float, parent_err: float, depth: int,
@@ -167,11 +162,12 @@ def _adaptive_simpson(
         right = (b - mid) / 6.0 * (fm + 4.0 * f_right + fb)
         err = (left + right - whole) / 15.0
         abs_err = abs(err)
+        accept = max(tol, floor)
         if (
-            abs_err <= tol and parent_err <= _SIMPSON_PARENT_ERR_FACTOR * tol
+            abs_err <= accept and parent_err <= _SIMPSON_PARENT_ERR_FACTOR * accept
         ) or (b - a) < 1e-300:
             return left + right + err
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise DepthExhausted(left + right, abs_err)
         return recurse(
             a, mid, fa, f_left, fm, left, 0.5 * tol, abs_err, depth + 1
@@ -179,45 +175,50 @@ def _adaptive_simpson(
 
     fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(lo, hi, fa, fm, fb, whole, spec.abs_tol, 0.0, 0)
+    floor = _ROUNDING * abs(whole)
+    return recurse(lo, hi, fa, fm, fb, whole, _ABS_TOL, 0.0, 0)
 
 
-def _adaptive_gauss(
-    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> float:
-    order, max_depth = spec.gauss_order, spec.max_depth
-
+def _adaptive_gauss(f: Callable[[float], float], lo: float, hi: float) -> float:
     def recurse(a: float, b: float, whole: float, tol: float, depth: int) -> float:
         mid = 0.5 * (a + b)
-        left = _gauss_panel(f, a, mid, order)
-        right = _gauss_panel(f, mid, b, order)
+        left = _gauss_panel(f, a, mid)
+        right = _gauss_panel(f, mid, b)
         total = left + right
         err = abs(total - whole)
-        if err <= tol or (b - a) < 1e-300:
+        if depth and (err <= max(tol, floor) or (b - a) < 1e-300):
             return total
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise DepthExhausted(total, err)
         return recurse(a, mid, left, 0.5 * tol, depth + 1) + recurse(
             mid, b, right, 0.5 * tol, depth + 1
         )
 
-    return recurse(lo, hi, _gauss_panel(f, lo, hi, order), spec.abs_tol, 0)
+    whole = _gauss_panel(f, lo, hi)
+    floor = _ROUNDING * abs(whole)
+    return recurse(lo, hi, whole, _ABS_TOL, 0)
 
 
 def quad_elliptic(
     kind: str, k: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """Direct quadrature of the defining integral of K or E."""
+    """Direct quadrature of the defining integral of K or E.
+
+    Integrates over u = pi/2 - t, where the radicand 1 - k^2 sin^2 t is
+    k'^2 + k^2 sin^2 u: it does not cancel near k = 1, and K's peak of
+    width k' sits at u = 0, where the abscissae are not rounded to the
+    spacing of the floats near pi/2.
+    """
     if kind not in ("K", "E"):
         raise ValueError("kind must be 'K' or 'E'")
     if not (0.0 <= k <= 1.0) or (kind == "K" and k == 1.0):
         raise ValueError(f"modulus {k!r} outside the domain of {kind}")
-    k2 = k * k
+    k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
 
     if kind == "K":
-        f = lambda t: 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2)
+        f = lambda u: 1.0 / math.sqrt(kp2 + k2 * math.sin(u) ** 2)
     else:
-        f = lambda t: math.sqrt(max(1.0 - k2 * math.sin(t) ** 2, 0.0))
+        f = lambda u: math.sqrt(kp2 + k2 * math.sin(u) ** 2)
     return quad(f, 0.0, 0.5 * math.pi, spec)
 
 
@@ -227,57 +228,38 @@ class AreaQuadrature(NamedTuple):
     part2: float  # t in [0, pi/2]
 
 
-def _parametrization(params: CurveParams):
-    """Local x(t), y(t) and y(t) x'(t) of the egg part (independent
-    re-derivation).  The product shares one sin, cos and root per point."""
-    a, b, w = params.a, params.b, params.w
-    q = 1.0 if w <= a else a / w
-    qb = q * b
-    a2 = a * a
-    q2w = q * q * w
-    q4w2 = q2w * q2w
-
-    def y(t: float) -> float:
-        return qb * math.sin(t)
-
-    def x(t: float) -> float:
-        s, c = math.sin(t), math.cos(t)
-        return -q2w * s * s + c * math.sqrt(max(a2 - q4w2 * s * s, 0.0))
+def _unit_y_xprime(k: float) -> Callable[[float], float]:
+    """y(t) x'(t) of the unit egg x = -k sin^2 t + cos t sqrt(1 - k^2 sin^2 t),
+    y = sin t (an independent re-derivation), with one sin, cos and root
+    per point."""
+    k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
 
     def y_xprime(t: float) -> float:
         s, c = math.sin(t), math.cos(t)
-        root = math.sqrt(max(a2 - q4w2 * s * s, 0.0))
-        xprime = -2.0 * q2w * s * c - s * root
-        if root > 1e-12:
-            xprime -= q4w2 * s * c * c / root
-        else:
-            # k = 1 limit: root = a|cos t|, so the quotient stays finite
-            xprime -= q4w2 * s * abs(c) / a
-        return qb * s * xprime
+        # root >= k|c|, and the cosine of a float in [0, pi] is never 0
+        root = math.sqrt(kp2 + k2 * c * c)
+        return -s * s * (2.0 * k * c + root + k2 * c * c / root)
 
-    return x, y, y_xprime
+    return y_xprime
 
 
 def quad_area(
-    params: CurveParams,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    derivative: str = "analytic",
+    params: CurveParams, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> AreaQuadrature:
     """Oracle area: -2 * integral of y(t) x'(t) over [0, pi].
 
-    Split at t = pi/2 to mirror the two subarea integrals.  ``derivative``
-    selects the analytic x'(t) or a central finite difference (h = 1e-6),
-    the latter guarding against mistakes in the derivative itself.
+    The egg is the unit egg stretched by a along x and by q b along y, so
+    the unit egg of modulus k is integrated and its area scaled by a b q
+    once; the tolerance then means the same for every egg.  Split at
+    t = pi/2 to mirror the two subarea integrals.
     """
-    x, y, y_xprime = _parametrization(params)
-    if derivative == "fd":
-        h = 1e-6
-        integrand = lambda t: y(t) * ((x(t + h) - x(t - h)) / (2.0 * h))
-    elif derivative == "analytic":
-        integrand = y_xprime
+    a, b, w = params.a, params.b, params.w
+    if w <= a:
+        q, k = 1.0, w / a
     else:
-        raise ValueError("derivative must be 'analytic' or 'fd'")
-
-    part2 = -2.0 * quad(integrand, 0.0, 0.5 * math.pi, spec)
-    part1 = -2.0 * quad(integrand, 0.5 * math.pi, math.pi, spec)
+        q = k = a / w
+    integrand = _unit_y_xprime(k)
+    scale = a * b * q
+    part2 = scale * (-2.0 * quad(integrand, 0.0, 0.5 * math.pi, spec))
+    part1 = scale * (-2.0 * quad(integrand, 0.5 * math.pi, math.pi, spec))
     return AreaQuadrature(part1 + part2, part1, part2)

@@ -194,6 +194,16 @@ class TestBounds:
                 <= cert.upper_coarse
             )
 
+    def test_ordering_near_one(self):
+        # 1 - k = j 2^-53, where the two lower bounds once rounded 1 ulp
+        # the wrong way round; no slack
+        rng = random.Random(53)
+        for _ in range(2000):
+            a, b = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
+            k = 1.0 - rng.randint(1, 8) * 2.0**-53
+            cert = bounds(CurveParams(a, b, a * k))
+            assert cert.lower_coarse <= cert.lower_refined <= cert.exact_total
+
     def test_large_w_is_finite_and_ordered(self):
         # w^3 overflows here; k ~ 8e-131, where the area is pi a b q
         cert = bounds(CurveParams(2.03, 1.62, 2.6e130))

@@ -27,7 +27,7 @@ from hugelschaffer.oracle import quad_elliptic
 from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 # Frozen oracle values: adaptive Simpson quadrature of the defining
-# integrals at abs_tol 1e-11 (hugelschaffer.oracle defaults).
+# integrals at the oracle's one tolerance, 1e-11 at the root panel.
 ORACLE_K_05 = 1.6857503548125963
 ORACLE_E_05 = 1.4674622093394252
 

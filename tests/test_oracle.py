@@ -32,17 +32,9 @@ def test_I1_and_J1():
 
 
 def test_gauss_rule_agrees_with_simpson():
-    spec = QuadratureSpec(rule=Rule.GAUSS_LEGENDRE, gauss_order=8)
+    spec = QuadratureSpec(rule=Rule.GAUSS_LEGENDRE)
     f = lambda t: math.exp(-t) * math.sin(3 * t)
     assert quad(f, 0.0, 2.0, spec) == pytest.approx(quad(f, 0.0, 2.0), abs=1e-10)
-
-
-def test_richardson_sanity():
-    # halving abs_tol never moves the result by more than the prior abs_tol
-    f = lambda t: 1.0 / math.sqrt(1.0 - 0.81 * math.sin(t) ** 2)
-    loose = quad(f, 0.0, math.pi / 2, QuadratureSpec(abs_tol=1e-8))
-    tight = quad(f, 0.0, math.pi / 2, QuadratureSpec(abs_tol=5e-9))
-    assert abs(loose - tight) <= 1e-8
 
 
 def test_determinism():
@@ -51,17 +43,10 @@ def test_determinism():
 
 
 def test_depth_exhaustion():
-    spec = QuadratureSpec(abs_tol=1e-15, max_depth=3)
+    # the peak is 1e-14 wide, narrower than 40 bisections of [-1, 1] reach
     with pytest.raises(DepthExhausted) as info:
-        quad(lambda t: 1.0 / math.sqrt(abs(t) + 1e-14), -1.0, 1.0, spec)
+        quad(lambda t: 1.0 / math.sqrt(abs(t) + 1e-14), -1.0, 1.0)
     assert math.isfinite(info.value.best)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=1e-16)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=61)
 
 
 def test_quad_elliptic_values():
@@ -95,9 +80,16 @@ def test_quad_area_halves_difference():
 def test_quad_area_matches_closed_form():
     from hugelschaffer.area import area_exact
 
-    # unit-scale bulk eggs, half with w < a and half with w > a
+    # unit-scale bulk eggs, half with w < a and half with w > a; large
+    # eggs, once DepthExhausted under an absolute tolerance; and eggs where
+    # Gauss once accepted the unsplit root, 8e-10 and 8e-12 off
     rng = random.Random(11)
-    eggs = [CurveParams(4, 3, 2), CurveParams(2, 3, 4)]
+    eggs = [
+        *(CurveParams(4, 3, 2), CurveParams(2, 3, 4)),
+        *(CurveParams(1e3, 1e3, 1), CurveParams(3e3, 1e3, 10)),
+        CurveParams(2.3182702719907264, 3.239388675936377, 2.5463580324056645),
+        CurveParams(1.423289193586743, 3.266841057386919, 1.8673841822535608),
+    ]
     for k in BULK_K[:50]:
         a, b = rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)
         eggs.append(CurveParams(a, b, k * a if rng.random() < 0.5 else a / k))
@@ -120,6 +112,13 @@ def test_simpson_evaluates_each_abscissa_once():
     assert len(calls) == len(set(calls))
 
 
+def _mpmath_ellip(kind, k):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ellip = mpmath.ellipk if kind == "K" else mpmath.ellipe
+        return float(ellip(mpmath.mpf(k) ** 2))
+
+
 # Moduli where Simpson's S/15 estimate once met the tolerance by a
 # coincidence of its sample points, 1e-9 to 8e-6 away from the integral.
 @pytest.mark.parametrize(
@@ -133,21 +132,18 @@ def test_simpson_evaluates_each_abscissa_once():
 )
 @pytest.mark.parametrize("rule", list(Rule))
 def test_quad_elliptic_no_false_convergence(kind, k, rule):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        ellip = mpmath.ellipk if kind == "K" else mpmath.ellipe
-        ref = float(ellip(mpmath.mpf(k) ** 2))
+    ref = _mpmath_ellip(kind, k)
     value = quad_elliptic(kind, k, QuadratureSpec(rule=rule))
     assert abs(value - ref) / ref < 1e-13
 
 
-def test_finite_difference_derivative_route():
-    params = CurveParams(4, 3, 2)
-    analytic = quad_area(params, derivative="analytic")
-    fd = quad_area(params, derivative="fd", spec=QuadratureSpec(abs_tol=1e-9))
-    assert fd.total == pytest.approx(analytic.total, rel=1e-7)
-    with pytest.raises(ValueError):
-        quad_area(params, derivative="nope")
+# Near one, 1 - k^2 sin^2 t once cancelled and raised DepthExhausted.
+@pytest.mark.parametrize("kind", ["K", "E"])
+@pytest.mark.parametrize("k", [1.0 - 1e-10, 1.0 - 1e-14])
+@pytest.mark.parametrize("rule", list(Rule))
+def test_quad_elliptic_near_one(kind, k, rule):
+    value = quad_elliptic(kind, k, QuadratureSpec(rule=rule))
+    assert abs(value / _mpmath_ellip(kind, k) - 1.0) < 1e-11
 
 
 def test_gauss_nodes_low_orders():
