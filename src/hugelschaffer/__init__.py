@@ -31,7 +31,6 @@ from .elliptic import (
     complete_E,
     complete_K,
     scale_free_area,
-    series_coeff,
     series_eval,
     series_partial,
     target_value,
@@ -83,7 +82,6 @@ __all__ = [
     "complete_E",
     "complete_K",
     "scale_free_area",
-    "series_coeff",
     "series_eval",
     "series_partial",
     "target_value",

@@ -8,15 +8,21 @@ by ``elliptic.scale_free_area`` from the AGM closed forms (no series), has
 no 1/k^2 cancellation and holds its accuracy over the whole modulus range
 0 <= k <= 1.  A power series in the modulus gives an independent route
 (and, evaluated at k = 1, a series representation of 1/pi).
-Taylor approximants of the series bound the area from both sides;
-``bounds`` packages those into a certificate.
+Taylor approximants of the series bound the area from both sides.
+``bounds`` packages the low-degree ones into a certificate, written out
+as explicit polynomials in k rather than built from Taylor objects.
+
+Every area here is a*b*q times a function of k alone, at most pi*a*b*q.
+The scale a*b*q is computed and checked in one place: outside the normal
+floats it would turn the area into inf, 0 or a subnormal, so
+``DomainError`` is raised instead.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import oracle, taylor
@@ -31,7 +37,7 @@ from .elliptic import (
     series_eval,
     series_partial,
 )
-from .taylor import ApproxKind, TaylorApprox
+from .taylor import ApproxKind
 
 __all__ = [
     "AreaBreakdown",
@@ -133,6 +139,21 @@ def check_J_relations(
     }
 
 
+def _scale_and_k(params: CurveParams) -> tuple[float, float]:
+    """The scale a*b*q and the modulus k, with the scale checked.
+
+    Every area and bound is at most pi*scale, so inside this range each
+    of them is a normal float.
+    """
+    shape = derive(params)
+    scale = params.a * params.b * shape.q
+    if not (sys.float_info.min <= scale <= sys.float_info.max / 4):
+        raise DomainError(
+            f"area scale a*b*q = {scale!r} lies outside the normal floats"
+        )
+    return scale, shape.k
+
+
 def area_exact(params: CurveParams) -> AreaBreakdown:
     """Exact egg area and its two subareas.
 
@@ -140,9 +161,7 @@ def area_exact(params: CurveParams) -> AreaBreakdown:
     part2 - part1 = (8/3) a b q k.  At k = 1 the closed form degenerates
     to the parabola-plus-line value (8/3) a b q.
     """
-    shape = derive(params)
-    k = shape.k
-    scale = params.a * params.b * shape.q
+    scale, k = _scale_and_k(params)
     total = scale * scale_free_area(k)
     diff = (8.0 / 3.0) * scale * k
     return AreaBreakdown(
@@ -158,24 +177,14 @@ def area_series(params: CurveParams, tol: float = 1e-14) -> float:
     """Area via the modulus power series, truncated at ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    shape = derive(params)
-    scale = params.a * params.b * shape.q
-    return scale * series_eval(AREA_SERIES, shape.k, tol)
+    scale, k = _scale_and_k(params)
+    return scale * series_eval(AREA_SERIES, k, tol)
 
 
 def area_series_partial(params: CurveParams, n_terms: int) -> float:
     """Area series summed over a fixed number of terms (endpoint probing)."""
-    shape = derive(params)
-    scale = params.a * params.b * shape.q
-    return scale * series_partial(AREA_SERIES, shape.k, n_terms)
-
-
-@lru_cache(maxsize=64)
-def _area_approx(n: int, kind: ApproxKind, beta: Optional[float]) -> TaylorApprox:
-    """Taylor approximant of the scale-free area, built once per key."""
-    if kind is ApproxKind.FIRST:
-        return taylor.first_taylor(AREA_SERIES, n)
-    return taylor.second_taylor(AREA_SERIES, n, beta)
+    scale, k = _scale_and_k(params)
+    return scale * series_partial(AREA_SERIES, k, n_terms)
 
 
 def area_taylor(
@@ -185,13 +194,12 @@ def area_taylor(
     beta: Optional[float] = None,
 ) -> float:
     """Taylor-approximant area: upper bound (first) or lower bound (second)."""
-    shape = derive(params)
-    scale = params.a * params.b * shape.q
+    scale, k = _scale_and_k(params)
     if kind is ApproxKind.FIRST:
-        beta = None
-    elif beta is None:
-        beta = 1.0
-    return scale * taylor.eval_approx(_area_approx(n, kind, beta), shape.k)
+        approx = taylor.first_taylor(AREA_SERIES, n)
+    else:
+        approx = taylor.second_taylor(AREA_SERIES, n, 1.0 if beta is None else beta)
+    return scale * taylor.eval_approx(approx, k)
 
 
 def bounds(params: CurveParams) -> BoundsCertificate:
@@ -199,7 +207,7 @@ def bounds(params: CurveParams) -> BoundsCertificate:
 
     Coarse: (8/3) a b q <= area <= pi a b q.  Refined: the degree-1
     endpoint-corrected approximant from below and the degree-2 Maclaurin
-    truncation from above.
+    truncation from above, each written out as its polynomial in k.
     """
     exact = area_exact(params)
     k, scale, total = exact.k, exact.scale, exact.total
@@ -210,7 +218,8 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     lower_coarse = scale * (8.0 / 3.0)
     upper_coarse = math.pi * scale
     lower_refined = scale * (8.0 / 3.0 + (math.pi - 8.0 / 3.0) * (1.0 - k))
-    upper_refined = scale * taylor.eval_approx(_area_approx(2, ApproxKind.FIRST, None), k)
+    # Horner on the degree-2 Maclaurin coefficients [pi, 0, -pi/8]
+    upper_refined = scale * (math.pi - (math.pi / 8.0) * k * k)
 
     delta = scale * (math.pi - 8.0 / 3.0) * (1.0 - k)
     nabla = (math.pi / 8.0) * scale * k * k

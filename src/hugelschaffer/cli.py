@@ -314,17 +314,20 @@ def _verification_checks() -> list[tuple[str, float, float]]:
             1e-11,
         )
     )
-    checks.append(
-        (
-            "series/direct agreement K",
-            max(
-                abs(series_eval(K_SERIES, k, 1e-16) - complete_K(k))
-                for k in grid
-                if k <= 0.9
-            ),
-            1e-11,
+    for name, target in (
+        ("K", K_SERIES), ("E", E_SERIES), ("D", D_SERIES), ("area", AREA_SERIES)
+    ):
+        checks.append(
+            (
+                f"series/direct agreement {name}",
+                max(
+                    abs(series_eval(target, k, 1e-16) - target_value(target, k))
+                    for k in grid
+                    if k <= 0.9
+                ),
+                1e-11,
+            )
         )
-    )
 
     fixtures_ok = (
         K_SERIES.coeff(2) == Fraction(9, 128)

@@ -35,13 +35,11 @@ __all__ = [
     "complete_K",
     "complete_E",
     "complete_D",
-    "series_coeff",
     "series_eval",
     "series_partial",
     "series_sum",
     "scale_free_area",
     "target_value",
-    "MAX_SERIES_TERMS",
 ]
 
 
@@ -51,7 +49,7 @@ class DomainError(ValueError):
 
 # Hard cap on series summation: near the endpoint x = 1 the terms only
 # decay like 1/i^3, so a tolerance may not be reachable in finite time.
-MAX_SERIES_TERMS = 10_000_000
+_MAX_SERIES_TERMS = 10_000_000
 
 # Safety cap on AGM rounds; the one-ulp stop test ends every pass in fewer
 # than 10 rounds over the whole float domain.
@@ -114,11 +112,6 @@ D_SERIES = SeriesTarget(SeriesKind.D)
 AREA_SERIES = SeriesTarget(SeriesKind.AREA)
 
 
-def series_coeff(target: SeriesTarget, i: int) -> Fraction:
-    """Exact rational coefficient of pi * x^(2i) in the target's series."""
-    return target.coeff(i)
-
-
 def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     """Signed series terms (including the pi factor) at the point x.
 
@@ -170,29 +163,19 @@ def _sum_terms(
     return SeriesSum(total, n, term)
 
 
-def series_sum(
-    target: SeriesTarget,
-    x: float,
-    tol: float,
-    max_terms: int = MAX_SERIES_TERMS,
-) -> SeriesSum:
+def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """Sum the series until the current term drops below ``tol``.
 
-    Stops at ``max_terms`` regardless; ``last_term`` reports the achieved
-    truncation level (the magnitude of the final term added).
+    Stops at ``_MAX_SERIES_TERMS`` regardless; ``last_term`` reports the
+    achieved truncation level (the magnitude of the final term added).
     """
     _check_series_domain(target, x)
-    return _sum_terms(target, x, tol, max_terms)
+    return _sum_terms(target, x, tol, _MAX_SERIES_TERMS)
 
 
-def series_eval(
-    target: SeriesTarget,
-    x: float,
-    tol: float = 1e-15,
-    max_terms: int = MAX_SERIES_TERMS,
-) -> float:
+def series_eval(target: SeriesTarget, x: float, tol: float = 1e-15) -> float:
     """Series value of the target function at x, truncated at ``tol``."""
-    return series_sum(target, x, tol, max_terms).value
+    return series_sum(target, x, tol).value
 
 
 def series_partial(target: SeriesTarget, x: float, n_terms: int) -> float:

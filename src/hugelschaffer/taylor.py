@@ -32,14 +32,13 @@ __all__ = [
     "second_taylor",
     "eval_approx",
     "verify_chain",
-    "CHAIN_SLACK",
 ]
 
 # Divergent-at-1 targets get this stand-in when a caller asks for beta = 1.
 _NEAR_ONE_BETA = 0.999999
 
-# Rounding slack for the non-strict chain inequalities.
-CHAIN_SLACK = 1e-14
+# Rounding slack for the non-strict chain inequalities, relative to max(1, |f|).
+_CHAIN_SLACK = 1e-14
 
 
 class ApproxKind(Enum):
@@ -203,13 +202,12 @@ def verify_chain(
     max_degree: int,
     beta: float,
     grid: Sequence[float],
-    slack: float = CHAIN_SLACK,
 ) -> ChainReport:
     """Check T_0, T_1, ..., f(x), ..., second_1, second_0 ordering on a grid.
 
     For K and D the first approximations lie below the function and the
     second ones above; for E and the area function the directions are
-    reversed.  ``slack`` absorbs rounding at coincidence points.
+    reversed.  ``_CHAIN_SLACK`` absorbs rounding at coincidence points.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -232,7 +230,7 @@ def verify_chain(
         f = target_value(target, x)
         tvals = [eval_approx(p, x) for p in firsts]
         svals = [eval_approx(p, x) for p in seconds]
-        eps = slack * max(1.0, abs(f))
+        eps = _CHAIN_SLACK * max(1.0, abs(f))
 
         def fail(msg: str) -> None:
             report.ok = False

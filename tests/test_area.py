@@ -1,7 +1,9 @@
 """Tests for the area closed forms, series, Taylor bounds, and 1/pi sums."""
 
+import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,7 +20,7 @@ from hugelschaffer.area import (
 from hugelschaffer.curve import CurveParams, derive
 from hugelschaffer.elliptic import AREA_SERIES, DomainError, target_value
 from hugelschaffer.oracle import quad, quad_area
-from hugelschaffer.taylor import ApproxKind
+from hugelschaffer.taylor import ApproxKind, eval_approx, first_taylor
 from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 
@@ -223,6 +225,22 @@ class TestBounds:
         cert = bounds(CurveParams(4, 3, 0.5))
         assert not cert.delta_printed_consistent
 
+    def test_upper_refined_is_the_degree_two_approximant(self):
+        # the explicit pi - (pi/8) k^2 is Horner on the first-kind
+        # degree-2 approximant of the area series, bit for bit
+        approx = first_taylor(AREA_SERIES, 2)
+        rng = random.Random(82)
+        for _ in range(2000):
+            a, b = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
+            k = rng.choice(
+                (rng.uniform(0.05, 0.99), 10.0 ** rng.uniform(-300, -1.3),
+                 1.0 - 10.0 ** rng.uniform(-16, -2))
+            )
+            params = CurveParams(a, b, a * k)
+            exact = area_exact(params)
+            cert = bounds(params)
+            assert cert.upper_refined == exact.scale * eval_approx(approx, exact.k)
+
 
 class TestInvPi:
     def test_first_partial_exact(self):
@@ -246,3 +264,75 @@ class TestInvPi:
     def test_validation(self):
         with pytest.raises(ValueError):
             inv_pi_partial(0)
+
+
+def test_scale_limits():
+    # a*b*q may run from the smallest normal float to max/4, where
+    # pi * a*b*q, the largest area or bound, is still finite
+    low, high = sys.float_info.min, sys.float_info.max / 4
+    for b in (low, high):  # q = 1 and a = 1, so a*b*q = b
+        cert = bounds(CurveParams(1.0, b, 0.5))
+        assert low <= cert.lower_coarse and cert.upper_coarse < math.inf
+    for b in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+        with pytest.raises(DomainError):
+            area_exact(CurveParams(1.0, b, 0.5))
+
+
+# Each of a, b, w at both ends of the float range and in between.
+_EXTREMES = (1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300)
+
+
+def _mp_area(mpmath, a, b, w):
+    """The egg area from the exact inputs, in mpmath."""
+    a, b, w = (mpmath.mpf(v) for v in (a, b, w))
+    q = min(mpmath.mpf(1), a / w)
+    k = q * q * w / a
+    if k == 1:
+        return a * b * q * 8 / 3
+    with mpmath.workdps(40 + 2 * int(-mpmath.log10(k))):
+        m = k * k
+        return a * b * q * 4 / 3 * (
+            (1 - 1 / m) * mpmath.ellipk(m) + (1 + 1 / m) * mpmath.ellipe(m)
+        )
+
+
+def test_extreme_scales_raise_or_stay_normal():
+    # where a*b*q is outside the normal floats, an area would be inf, 0.0
+    # or subnormal, so every route raises; elsewhere each area is a
+    # normal float and the exact one matches mpmath
+    mpmath = pytest.importorskip("mpmath")
+    tiny = sys.float_info.min
+    returned = 0
+    for a, b, w in itertools.product(_EXTREMES, repeat=3):
+        params = CurveParams(a, b, w)
+        routes = (
+            lambda: area_exact(params),
+            lambda: area_series(params, 1e-10),
+            lambda: area_taylor(params, 4, ApproxKind.FIRST),
+            lambda: area_taylor(params, 4, ApproxKind.SECOND, beta=1.0),
+            lambda: bounds(params),
+        )
+        results = []
+        for route in routes:
+            try:
+                results.append(route())
+            except DomainError:
+                pass
+        if not results:
+            continue
+        assert len(results) == len(routes), (a, b, w)
+        returned += 1
+        exact, series, first, second, cert = results
+        areas = (
+            exact.total, series, first, second, cert.lower_coarse,
+            cert.lower_refined, cert.exact_total, cert.upper_refined,
+            cert.upper_coarse,
+        )
+        assert all(tiny <= v < math.inf for v in areas), (a, b, w, areas)
+        # the margins scale with 1 - k or k^2 and may underflow
+        margins = (cert.delta, cert.nabla, cert.delta_printed, cert.nabla_piecewise)
+        assert all(0.0 <= v < math.inf for v in margins), (a, b, w, margins)
+        with mpmath.workdps(50):
+            ref = _mp_area(mpmath, a, b, w)
+            assert abs(exact.total - ref) <= 1e-15 * ref, (a, b, w)
+    assert returned == 248

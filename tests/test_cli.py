@@ -196,6 +196,14 @@ def test_non_finite_result_is_an_error():
         assert "Traceback" not in result.stderr
 
 
+def test_underflowing_scale_is_an_error():
+    # a*b*q underflows to 0: an error, not "total = 0"
+    result = run_cli("area", "--a", "1e-300", "--b", "1e-300", "--w", "1e-300")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
 def test_small_k_area_is_the_ellipse():
     result = run_cli("area", "--a", "1", "--b", "1", "--w", "1e-9", "--format", "json")
     assert result.returncode == 0

@@ -17,7 +17,6 @@ from hugelschaffer.elliptic import (
     complete_E,
     complete_K,
     scale_free_area,
-    series_coeff,
     series_eval,
     series_partial,
     series_sum,
@@ -121,19 +120,19 @@ def _exact_dblfact_ratio_sq(i):
 # i = 3000 is deeper than the interpreter's recursion limit
 @pytest.mark.parametrize("i", [*range(21), 3000])
 def test_K_coefficient_recurrence_matches_factorials(i):
-    assert series_coeff(K_SERIES, i) == _exact_dblfact_ratio_sq(i) / 2
+    assert K_SERIES.coeff(i) == _exact_dblfact_ratio_sq(i) / 2
 
 
 def test_spot_coefficients():
-    assert series_coeff(K_SERIES, 2) == Fraction(9, 128)
-    assert series_coeff(D_SERIES, 3) == Fraction(175, 4096)
-    assert abs(series_coeff(AREA_SERIES, 5)) == Fraction(147, 131072)
-    assert series_coeff(AREA_SERIES, 5) < 0  # negative in the sum
+    assert K_SERIES.coeff(2) == Fraction(9, 128)
+    assert D_SERIES.coeff(3) == Fraction(175, 4096)
+    assert abs(AREA_SERIES.coeff(5)) == Fraction(147, 131072)
+    assert AREA_SERIES.coeff(5) < 0  # negative in the sum
     # constant terms
-    assert series_coeff(K_SERIES, 0) == Fraction(1, 2)
-    assert series_coeff(E_SERIES, 0) == Fraction(1, 2)
-    assert series_coeff(D_SERIES, 0) == Fraction(1, 4)
-    assert series_coeff(AREA_SERIES, 0) == Fraction(1)
+    assert K_SERIES.coeff(0) == Fraction(1, 2)
+    assert E_SERIES.coeff(0) == Fraction(1, 2)
+    assert D_SERIES.coeff(0) == Fraction(1, 4)
+    assert AREA_SERIES.coeff(0) == Fraction(1)
 
 
 def test_series_eval_constant_term_only():
