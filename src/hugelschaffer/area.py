@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle, taylor
-from .curve import CurveParams, derive
+from .curve import CurveParams, _q_and_k
 from .elliptic import (
     AREA_SERIES,
     DomainError,
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AreaBreakdown:
+class AreaBreakdown(NamedTuple):
     total: float
     part1: float  # subarea left of the extremum abscissa
     part2: float  # subarea right of it
@@ -62,8 +60,7 @@ class AreaBreakdown:
     k: float
 
 
-@dataclass(frozen=True)
-class BoundsCertificate:
+class BoundsCertificate(NamedTuple):
     """Two-sided area bounds with their refinement margins.
 
     ``delta`` is the lower-refinement margin consistent with the degree-1
@@ -145,13 +142,13 @@ def _scale_and_k(params: CurveParams) -> tuple[float, float]:
     Every area and bound is at most pi*scale, so inside this range each
     of them is a normal float.
     """
-    shape = derive(params)
-    scale = params.a * params.b * shape.q
+    q, k = _q_and_k(params.a, params.w)
+    scale = params.a * params.b * q
     if not (sys.float_info.min <= scale <= sys.float_info.max / 4):
         raise DomainError(
             f"area scale a*b*q = {scale!r} lies outside the normal floats"
         )
-    return scale, shape.k
+    return scale, k
 
 
 def area_exact(params: CurveParams) -> AreaBreakdown:
@@ -209,8 +206,8 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     endpoint-corrected approximant from below and the degree-2 Maclaurin
     truncation from above, each written out as its polynomial in k.
     """
-    exact = area_exact(params)
-    k, scale, total = exact.k, exact.scale, exact.total
+    scale, k = _scale_and_k(params)
+    total = scale * scale_free_area(k)  # as in area_exact
 
     # The degree-1 approximant is written as 8/3 plus a nonnegative term,
     # so rounding cannot put it below the coarse bound; 1 - k is exact
@@ -225,11 +222,20 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     nabla = (math.pi / 8.0) * scale * k * k
     delta_printed = scale * math.pi * (1.0 - k)
     a, b, w = params.a, params.b, params.w
+    # The paper's pi b w^2/(8a) and pi a^4 b/(8w^3), evaluated on the
+    # mantissas of a, b, w with their exponents summed apart: the margin
+    # is at most pi*scale/8, but w^2, a^4 or w^3 alone may leave the floats.
+    ma, ea = math.frexp(a)
+    mb, eb = math.frexp(b)
+    mw, ew = math.frexp(w)
     if w < a:
-        nabla_piecewise = math.pi * b * w * w / (8.0 * a)
+        nabla_piecewise = math.ldexp(
+            math.pi * mb * mw * mw / (8.0 * ma), eb + 2 * ew - ea
+        )
     elif w > a:
-        # pi a^4 b / (8 w^3), arranged so that w^3 cannot overflow
-        nabla_piecewise = math.pi * a * b * (a / w) ** 3 / 8.0
+        nabla_piecewise = math.ldexp(
+            math.pi * ma * mb * (ma / mw) ** 3 / 8.0, 4 * ea + eb - 3 * ew
+        )
     else:
         nabla_piecewise = math.pi * scale / 8.0
 

@@ -61,8 +61,7 @@ class Regime(Enum):
     DEGENERATE = "w=a"
 
 
-@dataclass(frozen=True)
-class DerivedShape:
+class DerivedShape(NamedTuple):
     q: float
     k: float
     u: float  # extremum abscissa, -q^2 w
@@ -70,19 +69,22 @@ class DerivedShape:
     regime: Regime
 
 
+def _q_and_k(a: float, w: float) -> tuple[float, float]:
+    """The unification parameter q and the modulus k = q^2 w / a."""
+    q = a / w if w > a else 1.0
+    return q, q * q * w / a
+
+
 def derive(params: CurveParams) -> DerivedShape:
     """Derive q, k, the extremum abscissa and gamma from the parameters."""
     a, w = params.a, params.w
+    q, k = _q_and_k(a, w)
     if w < a:
-        q = 1.0
         regime = Regime.W_LESS_A
     elif w > a:
-        q = a / w
         regime = Regime.W_GREATER_A
     else:
-        q = 1.0
         regime = Regime.DEGENERATE
-    k = q * q * w / a
     u = -(q * q) * w
     gamma = -0.5 * (a * (a / w) + w)  # -(a^2 + w^2) / (2w), free of a^2 or w^2 overflow
     return DerivedShape(q=q, k=k, u=u, gamma=gamma, regime=regime)
@@ -131,25 +133,43 @@ def point_at(params: CurveParams, t: float) -> PlanePoint:
     x(t) = -q^2 w sin^2 t + cos t * sqrt(a^2 - q^4 w^2 sin^2 t),
     y(t) = q b sin t.  The radicand is nonnegative for k <= 1.
     """
+    return _point(*_point_terms(params), t)
+
+
+def _point_terms(params: CurveParams) -> tuple[float, float, float, float, float]:
+    """q^2 w, q b, the power of two ``unit`` with a/unit in [1, 2), and
+    a and q^2 w divided by ``unit``.
+
+    The radicand is formed from the scaled pair, so a^2 cannot overflow or
+    underflow; since q^2 w <= a, the scaled q^2 w is below 2.  Scaling by
+    a power of two rounds the same way, and the root of the scaled
+    radicand times ``unit`` is the unscaled root, exactly.
+    """
+    a = params.a
     q = derive(params).q
-    return _point(params.a, params.b, q, q * q * params.w, t)
+    q2w = q * q * params.w
+    e = math.frexp(a)[1] - 1
+    return q2w, q * params.b, math.ldexp(1.0, e), math.ldexp(a, -e), math.ldexp(q2w, -e)
 
 
-def _point(a: float, b: float, q: float, q2w: float, t: float) -> PlanePoint:
+def _point(
+    q2w: float, qb: float, unit: float, a_s: float, q2w_s: float, t: float
+) -> PlanePoint:
     s, c = math.sin(t), math.cos(t)
-    radicand = a * a - q2w * q2w * s * s
-    root = math.sqrt(max(radicand, 0.0))
-    return PlanePoint(-q2w * s * s + c * root, q * b * s)
+    radicand = a_s * a_s - q2w_s * q2w_s * s * s
+    root = math.sqrt(max(radicand, 0.0)) * unit
+    return PlanePoint(-q2w * s * s + c * root, qb * s)
 
 
 def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
     """n points on a uniform t-grid over [0, 2*pi], closed at (a, 0)."""
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    a, b = params.a, params.b
-    q = derive(params).q
-    q2w = q * q * params.w
-    points = [_point(a, b, q, q2w, 2.0 * math.pi * j / (n - 1)) for j in range(n - 1)]
+    q2w, qb, unit, a_s, q2w_s = _point_terms(params)
+    points = [
+        _point(q2w, qb, unit, a_s, q2w_s, 2.0 * math.pi * j / (n - 1))
+        for j in range(n - 1)
+    ]
     points.append(points[0])  # exact closure at t = 2*pi
     return points
 

@@ -17,7 +17,7 @@ from hugelschaffer.area import (
     integral_I,
     inv_pi_partial,
 )
-from hugelschaffer.curve import CurveParams, derive
+from hugelschaffer.curve import CurveParams, derive, point_at
 from hugelschaffer.elliptic import AREA_SERIES, DomainError, target_value
 from hugelschaffer.oracle import quad, quad_area
 from hugelschaffer.taylor import ApproxKind, eval_approx, first_taylor
@@ -241,6 +241,34 @@ class TestBounds:
             cert = bounds(params)
             assert cert.upper_refined == exact.scale * eval_approx(approx, exact.k)
 
+    def test_same_numbers_as_area_exact_and_derive(self):
+        # bounds forms its total apart from area_exact, and area_exact its
+        # scale and k apart from derive; both regimes and w == a
+        rng = random.Random(15)
+        for _ in range(2000):
+            a, b = rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)
+            k = rng.choice(
+                (rng.uniform(0.05, 0.99), 10.0 ** rng.uniform(-300, -1.3),
+                 1.0 - 10.0 ** rng.uniform(-16, -2))
+            )
+            for w in (a * k, a / k, a):
+                params = CurveParams(a, b, w)
+                exact, shape = area_exact(params), derive(params)
+                assert bounds(params).exact_total == exact.total
+                assert exact.k == shape.k
+                assert exact.scale == a * b * shape.q
+
+
+def test_result_records_are_immutable():
+    params = CurveParams(4, 3, 2)
+    for record, field in (
+        (derive(params), "q"),
+        (area_exact(params), "total"),
+        (bounds(params), "exact_total"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
 
 class TestInvPi:
     def test_first_partial_exact(self):
@@ -305,6 +333,8 @@ def test_extreme_scales_raise_or_stay_normal():
     returned = 0
     for a, b, w in itertools.product(_EXTREMES, repeat=3):
         params = CurveParams(a, b, w)
+        for t in (0.0, 0.7, 2.0, 4.0):
+            assert all(math.isfinite(v) for v in point_at(params, t)), (a, b, w, t)
         routes = (
             lambda: area_exact(params),
             lambda: area_series(params, 1e-10),
@@ -335,4 +365,10 @@ def test_extreme_scales_raise_or_stay_normal():
         with mpmath.workdps(50):
             ref = _mp_area(mpmath, a, b, w)
             assert abs(exact.total - ref) <= 1e-15 * ref, (a, b, w)
+            # pi b w^2/(8a) for w < a, pi a^4 b/(8w^3) for w > a: the
+            # smaller of the two; where it is a normal float, so is the margin
+            A, B, W = (mpmath.mpf(v) for v in (a, b, w))
+            ref = mpmath.pi * B * min(W * W / A, A**4 / W**3) / 8
+            if ref >= tiny:
+                assert abs(cert.nabla_piecewise - ref) <= 1e-15 * ref, (a, b, w)
     assert returned == 248

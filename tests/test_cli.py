@@ -222,6 +222,14 @@ def test_bounds_huge_w_no_traceback():
     assert chain == sorted(chain)
 
 
+def test_bounds_piecewise_margin_in_range():
+    # b w^2 overflows on the way to pi b w^2/(8a) = 3.18e306
+    result = run_cli("bounds", "--a", "1e7", "--b", "1e300", "--w", "9e6", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["nabla_piecewise"] == pytest.approx(payload["nabla"], rel=1e-15)
+
+
 def test_verify_passes():
     result = run_cli("verify", "--format", "json")
     payload = json.loads(result.stdout)
