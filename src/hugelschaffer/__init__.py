@@ -25,7 +25,6 @@ from .elliptic import (
     DomainError,
     E_SERIES,
     K_SERIES,
-    SeriesKind,
     SeriesTarget,
     complete_D,
     complete_E,
@@ -76,7 +75,6 @@ __all__ = [
     "DomainError",
     "E_SERIES",
     "K_SERIES",
-    "SeriesKind",
     "SeriesTarget",
     "complete_D",
     "complete_E",

@@ -172,8 +172,6 @@ def area_exact(params: CurveParams) -> AreaBreakdown:
 
 def area_series(params: CurveParams, tol: float = 1e-14) -> float:
     """Area via the modulus power series, truncated at ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     scale, k = _scale_and_k(params)
     return scale * series_eval(AREA_SERIES, k, tol)
 

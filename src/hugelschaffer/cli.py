@@ -33,7 +33,6 @@ from .elliptic import (
     DomainError,
     E_SERIES,
     K_SERIES,
-    SeriesTarget,
     series_eval,
     target_value,
 )
@@ -481,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle cross-check battery")
     p.add_argument("--tol", type=float, default=0.0)
-    _add_format(p)
+    _add_format(p, choices=("human", "json"))
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -11,7 +11,6 @@ modulus k = q^2 w / a is the one shape parameter the area depends on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,23 +35,49 @@ class PlanePoint(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
 class CurveParams:
     """The three positive Hügelschäffer parameters.
 
     a, b are the semi-axes along x and y; w is the distance between the
-    two construction-circle centers.
+    two construction-circle centers.  Instances are immutable and compare
+    and hash by value, but never equal a plain tuple.
     """
+
+    __slots__ = ("a", "b", "w")
+    __match_args__ = ("a", "b", "w")
 
     a: float
     b: float
     w: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "w"):
-            v = getattr(self, name)
+    def __init__(self, a: float, b: float, w: float) -> None:
+        for name, v in (("a", a), ("b", b), ("w", w)):
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"parameter {name} must be positive, got {v!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "w", w)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # slot state would be restored through the blocked __setattr__
+        return (CurveParams, (self.a, self.b, self.w))
+
+    def __repr__(self) -> str:
+        return f"CurveParams(a={self.a!r}, b={self.b!r}, w={self.w!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.w) == (other.a, other.b, other.w)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.w))
 
 
 class Regime(Enum):

@@ -18,7 +18,6 @@ and the float terms summed by ``series_sum`` both read that table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count
@@ -26,7 +25,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "DomainError",
-    "SeriesKind",
     "SeriesTarget",
     "K_SERIES",
     "E_SERIES",
@@ -61,25 +59,7 @@ def _dblfact_ratio_sq(i: int) -> Fraction:
     return Fraction(math.comb(2 * i, i), 4**i) ** 2
 
 
-class SeriesKind(Enum):
-    K = "K"
-    E = "E"
-    D = "D"
-    AREA = "Area"
-
-
-# (num(i), den(i)) of each target's multiplier r_i * num(i) / den(i); every
-# entry holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
-_MULTIPLIERS: dict[SeriesKind, Callable[[int], tuple[int, int]]] = {
-    SeriesKind.K: lambda i: (1, 2),
-    SeriesKind.E: lambda i: (-1, 4 * i - 2),
-    SeriesKind.D: lambda i: (2 * i + 1, 4 * i + 4),
-    SeriesKind.AREA: lambda i: (-1, (2 * i - 1) * (i + 1)),
-}
-
-
-@dataclass(frozen=True)
-class SeriesTarget:
+class SeriesTarget(Enum):
     """A function defined by an even power series with rational coefficients.
 
     ``coeff(i)`` is the exact rational multiplier of pi * x^(2i); for the
@@ -87,14 +67,17 @@ class SeriesTarget:
     the caller).  All four targets have convergence radius 1.
     """
 
-    kind: SeriesKind
+    K = "K"
+    E = "E"
+    D = "D"
+    AREA = "Area"
 
     @property
     def value_at_one(self) -> Optional[Fraction]:
         """Exact endpoint value where the series converges at x = 1."""
-        if self.kind is SeriesKind.E:
+        if self is SeriesTarget.E:
             return Fraction(1)
-        if self.kind is SeriesKind.AREA:
+        if self is SeriesTarget.AREA:
             return Fraction(8, 3)
         return None
 
@@ -102,14 +85,23 @@ class SeriesTarget:
         """Signed rational multiplier of pi * x^(2i)."""
         if i < 0:
             raise ValueError("series index must be nonnegative")
-        num, den = _MULTIPLIERS[self.kind](i)
+        num, den = _MULTIPLIERS[self](i)
         return _dblfact_ratio_sq(i) * Fraction(num, den)
 
 
-K_SERIES = SeriesTarget(SeriesKind.K)
-E_SERIES = SeriesTarget(SeriesKind.E)
-D_SERIES = SeriesTarget(SeriesKind.D)
-AREA_SERIES = SeriesTarget(SeriesKind.AREA)
+# (num(i), den(i)) of each target's multiplier r_i * num(i) / den(i); every
+# entry holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
+_MULTIPLIERS: dict[SeriesTarget, Callable[[int], tuple[int, int]]] = {
+    SeriesTarget.K: lambda i: (1, 2),
+    SeriesTarget.E: lambda i: (-1, 4 * i - 2),
+    SeriesTarget.D: lambda i: (2 * i + 1, 4 * i + 4),
+    SeriesTarget.AREA: lambda i: (-1, (2 * i - 1) * (i + 1)),
+}
+
+K_SERIES = SeriesTarget.K
+E_SERIES = SeriesTarget.E
+D_SERIES = SeriesTarget.D
+AREA_SERIES = SeriesTarget.AREA
 
 
 def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
@@ -118,7 +110,7 @@ def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     The double-factorial ratio is carried as a float recurrence; no
     factorials are ever formed.
     """
-    multiplier = _MULTIPLIERS[target.kind]
+    multiplier = _MULTIPLIERS[target]
     x2 = x * x
     r = 1.0  # ((2i-1)!!/(2i)!!)^2
     xp = 1.0  # x^(2i)
@@ -142,7 +134,7 @@ def _check_series_domain(target: SeriesTarget, x: float) -> None:
     if abs(x) == 1.0 and target.value_at_one is not None:
         return
     raise DomainError(
-        f"series for {target.kind.value} does not converge at x={x!r}"
+        f"series for {target.value} does not converge at x={x!r}"
     )
 
 
@@ -168,7 +160,10 @@ def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
 
     Stops at ``_MAX_SERIES_TERMS`` regardless; ``last_term`` reports the
     achieved truncation level (the magnitude of the final term added).
+    A ``tol`` that is not positive (NaN included) raises ``ValueError``.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     _check_series_domain(target, x)
     return _sum_terms(target, x, tol, _MAX_SERIES_TERMS)
 
@@ -295,11 +290,10 @@ def target_value(target: SeriesTarget, x: float) -> float:
     area as a function of the modulus, (4/3)(K + E - D), with the ellipse
     and parabola limits at the endpoints.
     """
-    kind = target.kind
-    if kind is SeriesKind.K:
+    if target is SeriesTarget.K:
         return complete_K(x)
-    if kind is SeriesKind.E:
+    if target is SeriesTarget.E:
         return complete_E(x)
-    if kind is SeriesKind.D:
+    if target is SeriesTarget.D:
         return complete_D(x)
     return scale_free_area(x)

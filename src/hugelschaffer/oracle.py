@@ -9,7 +9,6 @@ AGM evaluators or the closed-form area code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -33,8 +32,7 @@ class Rule(Enum):
     GAUSS_LEGENDRE = "gauss-legendre"
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(NamedTuple):
     rule: Rule = Rule.ADAPTIVE_SIMPSON
 
 

@@ -10,15 +10,12 @@ inequality chain on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import (
     DomainError,
-    SeriesKind,
     SeriesTarget,
     target_value,
 )
@@ -46,8 +43,7 @@ class ApproxKind(Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class PolyTerm:
+class PolyTerm(NamedTuple):
     """One polynomial term: (pi_coeff * pi + const_coeff + float_coeff) * x^power.
 
     The two Fraction slots keep table fixtures exactly representable;
@@ -67,22 +63,34 @@ class PolyTerm:
         return self.float_coeff == 0.0
 
 
-@dataclass(frozen=True)
 class TaylorApprox:
-    """An immutable polynomial enclosure of a series-defined function."""
+    """An immutable polynomial enclosure of a series-defined function.
 
-    target: SeriesTarget
-    kind: ApproxKind
-    degree: int
-    beta: Optional[float]  # None for the first kind
-    terms: tuple[PolyTerm, ...]
+    The dense float coefficients are summed from ``terms`` once, here.
+    """
 
-    @cached_property
-    def _dense(self) -> tuple[float, ...]:
-        dense = [0.0] * (self.degree + 1)
-        for t in self.terms:
+    __slots__ = ("target", "kind", "degree", "beta", "terms", "_dense")
+
+    def __init__(
+        self,
+        target: SeriesTarget,
+        kind: ApproxKind,
+        degree: int,
+        beta: Optional[float],  # None for the first kind
+        terms: tuple[PolyTerm, ...],
+    ) -> None:
+        dense = [0.0] * (degree + 1)
+        for t in terms:
             dense[t.power] += t.value()
-        return tuple(dense)
+        values = (target, kind, degree, beta, terms, tuple(dense))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (TaylorApprox, (self.target, self.kind, self.degree, self.beta, self.terms))
 
     def coefficients(self) -> list[float]:
         """Dense float coefficient list, index = power."""
@@ -103,14 +111,14 @@ def _resolve_beta(target: SeriesTarget, beta: float) -> float:
     if target.value_at_one is not None:
         if not (0.0 < beta <= 1.0):
             raise DomainError(
-                f"beta must lie in (0, 1] for {target.kind.value}, got {beta!r}"
+                f"beta must lie in (0, 1] for {target.value}, got {beta!r}"
             )
         return beta
     if beta == 1.0:
         return _NEAR_ONE_BETA
     if not (0.0 < beta < 1.0):
         raise DomainError(
-            f"beta must lie in (0, 1) for {target.kind.value}, got {beta!r}"
+            f"beta must lie in (0, 1) for {target.value}, got {beta!r}"
         )
     return beta
 
@@ -170,31 +178,32 @@ def eval_approx(approx: TaylorApprox, x: float) -> float:
     return _horner(approx._dense, x)
 
 
-@dataclass
-class ChainViolation:
+class ChainViolation(NamedTuple):
     x: float
     description: str
 
 
-@dataclass
 class ChainReport:
     """Result of checking the interleaved two-sided inequality chain."""
 
-    target: SeriesTarget
-    max_degree: int
-    beta: float
-    grid: tuple[float, ...]
-    ok: bool
-    violations: list[ChainViolation] = field(default_factory=list)
-    # per grid point: |T_j(x) - f(x)| and |second_j(x) - f(x)| for j = 0..max_degree
-    first_margins: dict[float, list[float]] = field(default_factory=dict)
-    second_margins: dict[float, list[float]] = field(default_factory=dict)
+    def __init__(
+        self, target: SeriesTarget, max_degree: int, beta: float, grid: tuple[float, ...]
+    ) -> None:
+        self.target = target
+        self.max_degree = max_degree
+        self.beta = beta
+        self.grid = grid
+        self.ok = True
+        self.violations: list[ChainViolation] = []
+        # per grid point: |T_j(x) - f(x)| and |second_j(x) - f(x)| for j = 0..max_degree
+        self.first_margins: dict[float, list[float]] = {}
+        self.second_margins: dict[float, list[float]] = {}
 
 
 def _first_is_lower(target: SeriesTarget) -> bool:
     # K and D: Maclaurin truncations approach from below; E and the area
     # function have negative tail terms, so the direction flips.
-    return target.kind in (SeriesKind.K, SeriesKind.D)
+    return target in (SeriesTarget.K, SeriesTarget.D)
 
 
 def verify_chain(
@@ -216,13 +225,7 @@ def verify_chain(
     seconds = [second_taylor(target, j, beta) for j in range(max_degree + 1)]
     lower_is_first = _first_is_lower(target)
 
-    report = ChainReport(
-        target=target,
-        max_degree=max_degree,
-        beta=beta_eff,
-        grid=tuple(grid),
-        ok=True,
-    )
+    report = ChainReport(target, max_degree, beta_eff, tuple(grid))
 
     for x in grid:
         if not (0.0 < x <= beta_eff):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hugelschaffer import elliptic
 from hugelschaffer.area import (
     area_exact,
     area_series,
@@ -124,6 +125,16 @@ def test_series_cross_method():
             continue
         exact = area_exact(params).total
         assert abs(area_series(params, 1e-14) - exact) / exact < 1e-11
+
+
+def test_series_area_rejects_tolerance_not_positive(monkeypatch):
+    def no_terms(target, x):
+        raise AssertionError("series summed")
+
+    monkeypatch.setattr(elliptic, "_float_terms", no_terms)
+    for tol in (math.nan, 0.0, -1e-14):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            area_series(CurveParams(1.0, 1.0, 0.5), tol)
 
 
 def test_series_limits():

@@ -241,7 +241,31 @@ def test_verify_passes():
 
 
 def test_import_leaves_numpy_out():
-    code = "import sys, hugelschaffer.cli; print('numpy' in sys.modules)"
+    # dataclasses brings in inspect (and ast, dis, tokenize): about a third
+    # of the package's import time on every CLI call
+    code = (
+        "import sys, hugelschaffer.cli; "
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+
+def test_series_tolerance_not_positive_is_an_error():
+    for tol in ("nan", "0", "-1e-14"):
+        result = run_cli(
+            "area", "--a", "1", "--b", "1", "--w", "0.5", "--method", "series",
+            f"--tol={tol}",
+        )
+        assert result.returncode == 1, tol
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
+def test_verify_has_no_csv_format():
+    result = run_cli("verify", "--format", "csv")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "invalid choice" in result.stderr

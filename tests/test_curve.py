@@ -1,6 +1,8 @@
 """Tests for the curve model, derived quantities, and the parametrization."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,34 @@ def test_params_validation():
         CurveParams(1.0, -2.0, 1.0)
     with pytest.raises(ValueError):
         CurveParams(1.0, 1.0, math.inf)
+
+
+def test_params_contract():
+    p = CurveParams(4.0, 3.0, 2.0)
+    assert (p.a, p.b, p.w) == (4.0, 3.0, 2.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="parameter w must be positive"):
+            CurveParams(a=4.0, b=3.0, w=bad)
+    # value equality and hash, but never equal to a tuple
+    assert p == CurveParams(a=4.0, b=3.0, w=2.0)
+    assert hash(p) == hash(CurveParams(4, 3, 2))
+    assert p != CurveParams(4.0, 3.0, 2.5)
+    assert p != (4.0, 3.0, 2.0)
+    assert len({p, CurveParams(4.0, 3.0, 2.0)}) == 1
+    assert repr(p) == "CurveParams(a=4.0, b=3.0, w=2.0)"
+    for name in ("a", "b", "w", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1.0)
+    with pytest.raises(AttributeError):
+        del p.a
+    assert p.a == 4.0
+    for clone in (
+        copy.copy(p),
+        copy.deepcopy(p),
+        *(pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert clone == p and type(clone) is CurveParams
+        assert repr(clone) == repr(p)
 
 
 def test_derive_w_less_a():

@@ -13,6 +13,7 @@ from hugelschaffer.elliptic import (
     DomainError,
     E_SERIES,
     K_SERIES,
+    SeriesTarget,
     complete_D,
     complete_E,
     complete_K,
@@ -171,6 +172,30 @@ def test_series_domain_errors():
         series_eval(E_SERIES, 1.5, 1e-10)
 
 
+def test_series_rejects_a_tolerance_that_is_not_positive(monkeypatch):
+    # a NaN, zero or negative tol is never met, and summing would run to the
+    # 10^7-term cap; it must be rejected before any term is formed
+    def no_terms(target, x):
+        raise AssertionError(f"series summed for {target.value} at {x!r}")
+
+    monkeypatch.setattr(elliptic, "_float_terms", no_terms)
+    for tol in (math.nan, 0.0, -0.0, -1e-14, -math.inf):
+        for target in (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                series_sum(target, 0.5, tol)
+            with pytest.raises(ValueError, match="tol must be positive"):
+                series_eval(target, 0.5, tol)
+
+
+def test_series_targets_are_one_enum():
+    assert [t.value for t in SeriesTarget] == ["K", "E", "D", "Area"]
+    assert (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES) == tuple(SeriesTarget)
+    assert K_SERIES is SeriesTarget.K and AREA_SERIES is SeriesTarget("Area")
+    assert [t.value_at_one for t in SeriesTarget] == [None, 1, None, Fraction(8, 3)]
+    assert AREA_SERIES.coeff(1) == Fraction(-1, 8)
+    assert not hasattr(elliptic, "SeriesKind")
+
+
 def test_series_sum_reports_truncation():
     result = series_sum(E_SERIES, 0.5, 1e-12)
     assert abs(result.last_term) < 1e-12
@@ -218,7 +243,7 @@ def test_scale_free_area_endpoints():
 
 def test_closed_forms_never_sum_series(monkeypatch):
     def no_series(target, x):
-        raise AssertionError(f"series summed for {target.kind.value} at {x!r}")
+        raise AssertionError(f"series summed for {target.value} at {x!r}")
 
     monkeypatch.setattr(elliptic, "_float_terms", no_series)
     for k in SMALL_K + BULK_K + NEAR_ONE_K:

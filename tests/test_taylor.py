@@ -4,7 +4,9 @@ The coefficient fixtures are compared as exact rationals, never through
 floating point.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -141,6 +143,21 @@ def test_eval_examples():
     assert eval_approx(first_taylor(AREA_SERIES, 2), 1.0) == pytest.approx(
         7 * math.pi / 8
     )
+
+
+def test_approximations_are_immutable_and_round_trip():
+    # the dense coefficients are summed once from the terms, so neither may
+    # change after construction; copies rebuild them from the fields
+    approx = second_taylor(D_SERIES, 5, 0.9)
+    for name in ("terms", "degree", "_dense"):
+        with pytest.raises(AttributeError):
+            setattr(approx, name, None)
+    for clone in (copy.copy(approx), copy.deepcopy(approx), pickle.loads(pickle.dumps(approx))):
+        assert (clone.target, clone.kind, clone.degree, clone.beta, clone.terms) == (
+            approx.target, approx.kind, approx.degree, approx.beta, approx.terms
+        )
+        assert clone.coefficients() == approx.coefficients()
+        assert eval_approx(clone, 0.5) == eval_approx(approx, 0.5)
 
 
 def test_beta_one_redirected_for_divergent_targets():
