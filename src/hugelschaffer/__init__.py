@@ -35,7 +35,6 @@ from .elliptic import (
     target_value,
 )
 from .taylor import (
-    ApproxKind,
     ChainReport,
     TaylorApprox,
     eval_approx,
@@ -83,7 +82,6 @@ __all__ = [
     "series_eval",
     "series_partial",
     "target_value",
-    "ApproxKind",
     "ChainReport",
     "TaylorApprox",
     "eval_approx",

@@ -36,7 +36,6 @@ from .elliptic import (
     series_eval,
     series_partial,
 )
-from .taylor import ApproxKind
 
 __all__ = [
     "AreaBreakdown",
@@ -102,9 +101,7 @@ def integral_I(index: int, k: float) -> float:
     return (2.0 * k2 - 2.0) / (3.0 * k2 * k2) * bigK + (2.0 - k2) / (3.0 * k2 * k2) * bigE
 
 
-def check_J_relations(
-    k: float, spec: oracle.QuadratureSpec = oracle.DEFAULT_SPEC
-) -> dict[str, float]:
+def check_J_relations(k: float) -> dict[str, float]:
     """Quadrature check of the [pi/2, pi] counterparts of I1..I3.
 
     Returns the absolute deviations from J1 = -1/3, J2 = I2, J3 = I3.
@@ -114,12 +111,11 @@ def check_J_relations(
     k2 = k * k
     half_pi, pi = 0.5 * math.pi, math.pi
 
-    j1 = oracle.quad(lambda t: math.sin(t) ** 2 * math.cos(t), half_pi, pi, spec)
+    j1 = oracle.quad(lambda t: math.sin(t) ** 2 * math.cos(t), half_pi, pi)
     j2 = oracle.quad(
         lambda t: math.sin(t) ** 2 * math.sqrt(1.0 - k2 * math.sin(t) ** 2),
         half_pi,
         pi,
-        spec,
     )
     j3 = oracle.quad(
         lambda t: math.sin(t) ** 2
@@ -127,7 +123,6 @@ def check_J_relations(
         / math.sqrt(1.0 - k2 * math.sin(t) ** 2),
         half_pi,
         pi,
-        spec,
     )
     return {
         "J1": abs(j1 - (-1.0 / 3.0)),
@@ -151,23 +146,22 @@ def _scale_and_k(params: CurveParams) -> tuple[float, float]:
     return scale, k
 
 
+def _subareas(total: float, scale: float, k: float) -> tuple[float, float, float]:
+    """part1, part2 and their exact difference part2 - part1 = (8/3) a b q k."""
+    diff = (8.0 / 3.0) * scale * k
+    return 0.5 * (total - diff), 0.5 * (total + diff), diff
+
+
 def area_exact(params: CurveParams) -> AreaBreakdown:
     """Exact egg area and its two subareas.
 
-    The subareas follow from the total and the exact difference
-    part2 - part1 = (8/3) a b q k.  At k = 1 the closed form degenerates
-    to the parabola-plus-line value (8/3) a b q.
+    At k = 1 the closed form degenerates to the parabola-plus-line value
+    (8/3) a b q.
     """
     scale, k = _scale_and_k(params)
     total = scale * scale_free_area(k)
-    diff = (8.0 / 3.0) * scale * k
-    return AreaBreakdown(
-        total=total,
-        part1=0.5 * (total - diff),
-        part2=0.5 * (total + diff),
-        scale=scale,
-        k=k,
-    )
+    part1, part2, _ = _subareas(total, scale, k)
+    return AreaBreakdown(total, part1, part2, scale, k)
 
 
 def area_series(params: CurveParams, tol: float = 1e-14) -> float:
@@ -182,18 +176,17 @@ def area_series_partial(params: CurveParams, n_terms: int) -> float:
     return scale * series_partial(AREA_SERIES, k, n_terms)
 
 
-def area_taylor(
-    params: CurveParams,
-    n: int,
-    kind: ApproxKind,
-    beta: Optional[float] = None,
-) -> float:
-    """Taylor-approximant area: upper bound (first) or lower bound (second)."""
+def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> float:
+    """Taylor-approximant area of degree n.
+
+    With ``beta`` None this is the first kind, an upper bound; with a
+    ``beta`` it is the second kind anchored there, a lower bound.
+    """
     scale, k = _scale_and_k(params)
-    if kind is ApproxKind.FIRST:
+    if beta is None:
         approx = taylor.first_taylor(AREA_SERIES, n)
     else:
-        approx = taylor.second_taylor(AREA_SERIES, n, 1.0 if beta is None else beta)
+        approx = taylor.second_taylor(AREA_SERIES, n, beta)
     return scale * taylor.eval_approx(approx, k)
 
 

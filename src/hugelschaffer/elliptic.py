@@ -11,8 +11,9 @@ covers the scale-free egg-area function.
 
 All four series share one form: the multiplier of pi * x^(2i) is
 r_i * num(i) / den(i), with r_i = ((2i-1)!!/(2i)!!)^2 and one (num, den)
-entry per target in ``_MULTIPLIERS``.  The exact ``Fraction`` coefficients
-and the float terms summed by ``series_sum`` both read that table.
+entry per target in ``_MULTIPLIERS``.  r_i is carried by the recurrence
+r_{i+1} = r_i ((2i+1)/(2i+2))^2, exactly in ``SeriesTarget.coeffs`` and in
+floats in the terms summed by ``series_sum``; both read that table.
 """
 
 from __future__ import annotations
@@ -46,17 +47,13 @@ class DomainError(ValueError):
 
 
 # Hard cap on series summation: near the endpoint x = 1 the terms only
-# decay like 1/i^3, so a tolerance may not be reachable in finite time.
+# decay like 1/i^3, so a tolerance may not be reachable in finite time;
+# ``series_sum`` raises when it gets here.
 _MAX_SERIES_TERMS = 10_000_000
 
 # Safety cap on AGM rounds; the one-ulp stop test ends every pass in fewer
 # than 10 rounds over the whole float domain.
 _AGM_MAX_ITER = 40
-
-
-def _dblfact_ratio_sq(i: int) -> Fraction:
-    """((2i-1)!!/(2i)!!)^2 = (C(2i, i) / 4^i)^2 as an exact rational."""
-    return Fraction(math.comb(2 * i, i), 4**i) ** 2
 
 
 class SeriesTarget(Enum):
@@ -81,12 +78,22 @@ class SeriesTarget(Enum):
             return Fraction(8, 3)
         return None
 
+    def coeffs(self, m: int) -> list[Fraction]:
+        """Signed rational multipliers of pi * x^(2i) for i = 0 .. m-1."""
+        multiplier = _MULTIPLIERS[self]
+        out = []
+        r = Fraction(1)  # ((2i-1)!!/(2i)!!)^2
+        for i in range(m):
+            num, den = multiplier(i)
+            out.append(r * Fraction(num, den))
+            r *= Fraction((2 * i + 1) ** 2, (2 * i + 2) ** 2)
+        return out
+
     def coeff(self, i: int) -> Fraction:
         """Signed rational multiplier of pi * x^(2i)."""
         if i < 0:
             raise ValueError("series index must be nonnegative")
-        num, den = _MULTIPLIERS[self](i)
-        return _dblfact_ratio_sq(i) * Fraction(num, den)
+        return self.coeffs(i + 1)[-1]
 
 
 # (num(i), den(i)) of each target's multiplier r_i * num(i) / den(i); every
@@ -158,14 +165,21 @@ def _sum_terms(
 def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """Sum the series until the current term drops below ``tol``.
 
-    Stops at ``_MAX_SERIES_TERMS`` regardless; ``last_term`` reports the
-    achieved truncation level (the magnitude of the final term added).
-    A ``tol`` that is not positive (NaN included) raises ``ValueError``.
+    ``last_term`` reports the achieved truncation level (the final term
+    added).  A ``tol`` that is not positive (NaN included) raises
+    ``ValueError``; reaching ``_MAX_SERIES_TERMS`` before a term drops
+    below ``tol`` raises ``DomainError`` rather than return a truncated sum.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_series_domain(target, x)
-    return _sum_terms(target, x, tol, _MAX_SERIES_TERMS)
+    result = _sum_terms(target, x, tol, _MAX_SERIES_TERMS)
+    if abs(result.last_term) >= tol:
+        raise DomainError(
+            f"series for {target.value} at x={x!r} did not reach tol={tol!r} "
+            f"within {result.terms_used} terms"
+        )
+    return result
 
 
 def series_eval(target: SeriesTarget, x: float, tol: float = 1e-15) -> float:

@@ -10,7 +10,6 @@ inequality chain on a grid.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -21,7 +20,6 @@ from .elliptic import (
 )
 
 __all__ = [
-    "ApproxKind",
     "PolyTerm",
     "TaylorApprox",
     "ChainReport",
@@ -36,11 +34,6 @@ _NEAR_ONE_BETA = 0.999999
 
 # Rounding slack for the non-strict chain inequalities, relative to max(1, |f|).
 _CHAIN_SLACK = 1e-14
-
-
-class ApproxKind(Enum):
-    FIRST = "first"
-    SECOND = "second"
 
 
 class PolyTerm(NamedTuple):
@@ -66,23 +59,24 @@ class PolyTerm(NamedTuple):
 class TaylorApprox:
     """An immutable polynomial enclosure of a series-defined function.
 
-    The dense float coefficients are summed from ``terms`` once, here.
+    ``beta`` is None for the first kind and the resolved endpoint for the
+    second.  The dense float coefficients are summed from ``terms`` once,
+    here.
     """
 
-    __slots__ = ("target", "kind", "degree", "beta", "terms", "_dense")
+    __slots__ = ("target", "degree", "beta", "terms", "_dense")
 
     def __init__(
         self,
         target: SeriesTarget,
-        kind: ApproxKind,
         degree: int,
-        beta: Optional[float],  # None for the first kind
+        beta: Optional[float],
         terms: tuple[PolyTerm, ...],
     ) -> None:
         dense = [0.0] * (degree + 1)
         for t in terms:
             dense[t.power] += t.value()
-        values = (target, kind, degree, beta, terms, tuple(dense))
+        values = (target, degree, beta, terms, tuple(dense))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -90,21 +84,25 @@ class TaylorApprox:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        return (TaylorApprox, (self.target, self.kind, self.degree, self.beta, self.terms))
+        return (TaylorApprox, (self.target, self.degree, self.beta, self.terms))
 
     def coefficients(self) -> list[float]:
         """Dense float coefficient list, index = power."""
         return list(self._dense)
 
 
+def _maclaurin(target: SeriesTarget, n: int) -> TaylorApprox:
+    """Degree-n truncation; at n = -1 it has no terms."""
+    coeffs = target.coeffs(n // 2 + 1)
+    terms = tuple(PolyTerm(2 * i, pi_coeff=c) for i, c in enumerate(coeffs))
+    return TaylorApprox(target, n, None, terms)
+
+
 def first_taylor(target: SeriesTarget, n: int) -> TaylorApprox:
     """Truncated Maclaurin polynomial of degree n (even powers only)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    terms = tuple(
-        PolyTerm(power=2 * i, pi_coeff=target.coeff(i)) for i in range(n // 2 + 1)
-    )
-    return TaylorApprox(target, ApproxKind.FIRST, n, None, terms)
+    return _maclaurin(target, n)
 
 
 def _resolve_beta(target: SeriesTarget, beta: float) -> float:
@@ -126,32 +124,24 @@ def _resolve_beta(target: SeriesTarget, beta: float) -> float:
 def second_taylor(target: SeriesTarget, n: int, beta: float) -> TaylorApprox:
     """T_{n-1} plus the correction (x/beta)^n * (f(beta) - T_{n-1}(beta)).
 
-    For n = 0 the approximation is the constant f(beta).  When beta = 1
-    and the target has an exact endpoint value, the correction coefficient
-    is carried exactly (rational plus rational multiple of pi).
+    For n = 0, T_{-1} has no terms and the approximation is the constant
+    f(beta).  When beta = 1 and the target has an exact endpoint value, the
+    correction coefficient is carried exactly (rational plus rational
+    multiple of pi).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     beta = _resolve_beta(target, beta)
-    exact = beta == 1.0 and target.value_at_one is not None
-
-    if n == 0:
-        if exact:
-            term = PolyTerm(0, const_coeff=target.value_at_one)
-        else:
-            term = PolyTerm(0, float_coeff=target_value(target, beta))
-        return TaylorApprox(target, ApproxKind.SECOND, 0, beta, (term,))
-
-    base = first_taylor(target, n - 1)
-    if exact:
+    base = _maclaurin(target, n - 1)
+    if beta == 1.0 and target.value_at_one is not None:
         # T_{n-1}(1) = pi * sum of rational coefficients
         pi_sum = sum((t.pi_coeff for t in base.terms), Fraction(0))
         corr = PolyTerm(n, pi_coeff=-pi_sum, const_coeff=target.value_at_one)
     else:
         f_beta = target_value(target, beta)
-        t_beta = _horner(base.coefficients(), beta)
+        t_beta = _horner(base._dense, beta)
         corr = PolyTerm(n, float_coeff=(f_beta - t_beta) / beta**n)
-    return TaylorApprox(target, ApproxKind.SECOND, n, beta, base.terms + (corr,))
+    return TaylorApprox(target, n, beta, base.terms + (corr,))
 
 
 def _horner(coeffs: Sequence[float], x: float) -> float:
@@ -163,8 +153,7 @@ def _horner(coeffs: Sequence[float], x: float) -> float:
 
 def eval_approx(approx: TaylorApprox, x: float) -> float:
     """Evaluate the polynomial at x (Horner), with domain checks."""
-    if approx.kind is ApproxKind.SECOND:
-        assert approx.beta is not None
+    if approx.beta is not None:
         if abs(x) > approx.beta:
             raise DomainError(
                 f"second approximation valid on [-{approx.beta}, {approx.beta}], got {x!r}"
@@ -183,21 +172,18 @@ class ChainViolation(NamedTuple):
     description: str
 
 
-class ChainReport:
+class ChainReport(NamedTuple):
     """Result of checking the interleaved two-sided inequality chain."""
 
-    def __init__(
-        self, target: SeriesTarget, max_degree: int, beta: float, grid: tuple[float, ...]
-    ) -> None:
-        self.target = target
-        self.max_degree = max_degree
-        self.beta = beta
-        self.grid = grid
-        self.ok = True
-        self.violations: list[ChainViolation] = []
-        # per grid point: |T_j(x) - f(x)| and |second_j(x) - f(x)| for j = 0..max_degree
-        self.first_margins: dict[float, list[float]] = {}
-        self.second_margins: dict[float, list[float]] = {}
+    target: SeriesTarget
+    max_degree: int
+    beta: float
+    grid: tuple[float, ...]
+    ok: bool
+    violations: tuple[ChainViolation, ...]
+    # per grid point: |T_j(x) - f(x)| and |second_j(x) - f(x)| for j = 0..max_degree
+    first_margins: dict[float, list[float]]
+    second_margins: dict[float, list[float]]
 
 
 def _first_is_lower(target: SeriesTarget) -> bool:
@@ -223,9 +209,10 @@ def verify_chain(
     beta_eff = _resolve_beta(target, beta)
     firsts = [first_taylor(target, j) for j in range(max_degree + 1)]
     seconds = [second_taylor(target, j, beta) for j in range(max_degree + 1)]
-    lower_is_first = _first_is_lower(target)
-
-    report = ChainReport(target, max_degree, beta_eff, tuple(grid))
+    sign = 1.0 if _first_is_lower(target) else -1.0
+    violations: list[ChainViolation] = []
+    first_margins: dict[float, list[float]] = {}
+    second_margins: dict[float, list[float]] = {}
 
     for x in grid:
         if not (0.0 < x <= beta_eff):
@@ -234,28 +221,27 @@ def verify_chain(
         tvals = [eval_approx(p, x) for p in firsts]
         svals = [eval_approx(p, x) for p in seconds]
         eps = _CHAIN_SLACK * max(1.0, abs(f))
-
-        def fail(msg: str) -> None:
-            report.ok = False
-            report.violations.append(ChainViolation(x, msg))
-
-        sign = 1.0 if lower_is_first else -1.0
+        failed = []
         # monotone approach of the first family toward f
         for j in range(max_degree):
             if sign * (tvals[j + 1] - tvals[j]) < -eps:
-                fail(f"first-kind degrees {j},{j + 1} out of order")
+                failed.append(f"first-kind degrees {j},{j + 1} out of order")
         # monotone approach of the second family toward f
         for j in range(max_degree):
             if sign * (svals[j] - svals[j + 1]) < -eps:
-                fail(f"second-kind degrees {j},{j + 1} out of order")
+                failed.append(f"second-kind degrees {j},{j + 1} out of order")
         # the function separates the two families
         for j in range(max_degree + 1):
             if sign * (f - tvals[j]) < -eps:
-                fail(f"first-kind degree {j} on the wrong side of f")
+                failed.append(f"first-kind degree {j} on the wrong side of f")
             if sign * (svals[j] - f) < -eps:
-                fail(f"second-kind degree {j} on the wrong side of f")
+                failed.append(f"second-kind degree {j} on the wrong side of f")
+        violations += (ChainViolation(x, msg) for msg in failed)
 
-        report.first_margins[x] = [abs(v - f) for v in tvals]
-        report.second_margins[x] = [abs(v - f) for v in svals]
+        first_margins[x] = [abs(v - f) for v in tvals]
+        second_margins[x] = [abs(v - f) for v in svals]
 
-    return report
+    return ChainReport(
+        target, max_degree, beta_eff, tuple(grid), not violations,
+        tuple(violations), first_margins, second_margins,
+    )

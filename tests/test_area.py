@@ -21,7 +21,7 @@ from hugelschaffer.area import (
 from hugelschaffer.curve import CurveParams, derive, point_at
 from hugelschaffer.elliptic import AREA_SERIES, DomainError, target_value
 from hugelschaffer.oracle import quad, quad_area
-from hugelschaffer.taylor import ApproxKind, eval_approx, first_taylor
+from hugelschaffer.taylor import eval_approx, first_taylor
 from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 
@@ -155,11 +155,11 @@ def test_monotone_in_k_at_fixed_scale():
 
 class TestAreaTaylor:
     def test_second_kind_degree_zero(self):
-        assert area_taylor(CurveParams(4, 3, 2), 0, ApproxKind.SECOND, beta=1.0) == pytest.approx(32.0)
+        assert area_taylor(CurveParams(4, 3, 2), 0, beta=1.0) == pytest.approx(32.0)
 
     def test_second_kind_degree_three(self):
         params = CurveParams(4, 3, 2)  # q = 1, k = 0.5, scale 12
-        got = area_taylor(params, 3, ApproxKind.SECOND, beta=1.0)
+        got = area_taylor(params, 3, beta=1.0)
         t2 = 12 * math.pi * (1 - 0.125 * 0.25)
         expected = t2 + 12 * (8 / 3 - 7 * math.pi / 8) * 0.5**3
         assert got == pytest.approx(expected, rel=1e-14)
@@ -171,8 +171,8 @@ class TestAreaTaylor:
             if not (0.05 < k < 0.95):
                 continue
             for n in range(11):
-                upper = area_taylor(params, n, ApproxKind.FIRST)
-                lower = area_taylor(params, n, ApproxKind.SECOND, beta=1.0)
+                upper = area_taylor(params, n)
+                lower = area_taylor(params, n, beta=1.0)
                 assert lower - 1e-12 <= exact <= upper + 1e-12
 
 
@@ -349,8 +349,8 @@ def test_extreme_scales_raise_or_stay_normal():
         routes = (
             lambda: area_exact(params),
             lambda: area_series(params, 1e-10),
-            lambda: area_taylor(params, 4, ApproxKind.FIRST),
-            lambda: area_taylor(params, 4, ApproxKind.SECOND, beta=1.0),
+            lambda: area_taylor(params, 4),
+            lambda: area_taylor(params, 4, beta=1.0),
             lambda: bounds(params),
         )
         results = []

@@ -1,5 +1,6 @@
 """CLI contract tests: determinism, formats, schemas, exit codes."""
 
+import decimal
 import json
 import math
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+
+from hugelschaffer import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +166,16 @@ def test_golden_files():
     assert sample == (GOLDEN / "sample_a3_b2_w2_n64.csv").read_text()
     pi = run_cli("pi-series", "--terms", "100", "--format", "json").stdout
     assert pi == (GOLDEN / "pi_series_100.json").read_text()
+    for target, beta in (("A", "1"), ("E", "1"), ("K", "0.9")):
+        name = f"approx_table_{target}" + ("" if beta == "1" else f"_beta{beta}")
+        for fmt, ext in (("human", "txt"), ("json", "json")):
+            table = run_cli("approx-table", "--target", target, "--beta", beta,
+                            "--format", fmt).stdout
+            assert table == (GOLDEN / f"{name}.{ext}").read_text(), (name, fmt)
+    for kind in ("first", "second"):
+        area = run_cli("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor",
+                       "--kind", kind, "--n", "6").stdout
+        assert area == (GOLDEN / f"area_a4_b3_w2_taylor_{kind}_n6.txt").read_text()
 
 
 def test_byte_determinism_across_runs():
@@ -236,8 +249,6 @@ def test_verify_passes():
     jsonschema.validate(payload, _schema("verify"))
     assert result.returncode == 0
     assert payload["passed"] is True
-    # looser tolerance must still pass
-    assert run_cli("verify", "--tol", "1e-3").returncode == 0
 
 
 def test_import_leaves_numpy_out():
@@ -262,6 +273,18 @@ def test_series_tolerance_not_positive_is_an_error():
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+
+def test_verify_has_no_tolerance_override():
+    result = run_cli("verify", "--tol", "1e-3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
+def test_pi_series_keeps_the_callers_decimal_precision():
+    before = decimal.getcontext().prec
+    assert cli.main(["pi-series", "--terms", "10"]) == 0
+    assert decimal.getcontext().prec == before == 28
 
 
 def test_verify_has_no_csv_format():

@@ -1,5 +1,6 @@
 """Tests for the complete elliptic integrals and their series machinery."""
 
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -118,10 +119,26 @@ def _exact_dblfact_ratio_sq(i):
     return Fraction(dd_odd, dd_even) ** 2
 
 
+# each target's coefficient over ((2i-1)!!/(2i)!!)^2, written out apart
+# from the multiplier table
+_FACTORIAL_FORMS = {
+    K_SERIES: lambda i: Fraction(1, 2),
+    E_SERIES: lambda i: Fraction(-1, 4 * i - 2),
+    D_SERIES: lambda i: Fraction(2 * i + 1, 4 * (i + 1)),
+    AREA_SERIES: lambda i: Fraction(-1, (2 * i - 1) * (i + 1)),
+}
+
+
 # i = 3000 is deeper than the interpreter's recursion limit
 @pytest.mark.parametrize("i", [*range(21), 3000])
 def test_K_coefficient_recurrence_matches_factorials(i):
     assert K_SERIES.coeff(i) == _exact_dblfact_ratio_sq(i) / 2
+
+
+@pytest.mark.parametrize("target", [E_SERIES, D_SERIES, AREA_SERIES], ids=lambda t: t.value)
+@pytest.mark.parametrize("i", [*range(21), 3000])
+def test_coefficient_recurrence_matches_factorials(target, i):
+    assert target.coeff(i) == _exact_dblfact_ratio_sq(i) * _FACTORIAL_FORMS[target](i)
 
 
 def test_spot_coefficients():
@@ -194,6 +211,23 @@ def test_series_targets_are_one_enum():
     assert [t.value_at_one for t in SeriesTarget] == [None, 1, None, Fraction(8, 3)]
     assert AREA_SERIES.coeff(1) == Fraction(-1, 8)
     assert not hasattr(elliptic, "SeriesKind")
+
+
+def test_series_cap_is_an_error_not_a_truncated_sum(monkeypatch):
+    # at k = 0.999 the K terms fall below 1e-15 only after thousands of
+    # terms; a cap before that must raise rather than return the sum
+    monkeypatch.setattr(elliptic, "_MAX_SERIES_TERMS", 200)
+    with pytest.raises(DomainError, match="did not reach tol"):
+        series_sum(K_SERIES, 0.999, 1e-15)
+    with pytest.raises(DomainError, match="did not reach tol"):
+        series_eval(K_SERIES, 0.999, 1e-15)
+    # a sum that converges within the cap is unchanged, and a partial sum
+    # still adds exactly the terms asked for, past the cap
+    assert series_sum(K_SERIES, 0.5, 1e-15).terms_used < 200
+    total = 0.0
+    for term in itertools.islice(elliptic._float_terms(K_SERIES, 0.999), 500):
+        total += term
+    assert series_partial(K_SERIES, 0.999, 500) == total
 
 
 def test_series_sum_reports_truncation():

@@ -20,8 +20,10 @@ from hugelschaffer.elliptic import (
     complete_K,
     target_value,
 )
+from hugelschaffer import taylor
 from hugelschaffer.taylor import (
-    ApproxKind,
+    ChainReport,
+    PolyTerm,
     eval_approx,
     first_taylor,
     second_taylor,
@@ -153,11 +155,31 @@ def test_approximations_are_immutable_and_round_trip():
         with pytest.raises(AttributeError):
             setattr(approx, name, None)
     for clone in (copy.copy(approx), copy.deepcopy(approx), pickle.loads(pickle.dumps(approx))):
-        assert (clone.target, clone.kind, clone.degree, clone.beta, clone.terms) == (
-            approx.target, approx.kind, approx.degree, approx.beta, approx.terms
+        assert (clone.target, clone.degree, clone.beta, clone.terms) == (
+            approx.target, approx.degree, approx.beta, approx.terms
         )
         assert clone.coefficients() == approx.coefficients()
         assert eval_approx(clone, 0.5) == eval_approx(approx, 0.5)
+
+
+def test_kind_is_whether_beta_is_set():
+    assert first_taylor(E_SERIES, 4).beta is None
+    assert second_taylor(E_SERIES, 4, 0.5).beta == 0.5
+    assert not hasattr(first_taylor(K_SERIES, 2), "kind")
+    # the second kind is valid up to its beta, the first up to the radius
+    eval_approx(first_taylor(E_SERIES, 4), 0.75)
+    with pytest.raises(DomainError):
+        eval_approx(second_taylor(E_SERIES, 4, 0.5), 0.75)
+
+
+def test_degree_zero_second_kind_is_the_endpoint_value():
+    # T_{-1} has no terms, so the correction at power 0 is f(beta) itself
+    assert second_taylor(E_SERIES, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(1)),)
+    assert second_taylor(AREA_SERIES, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(8, 3)),)
+    for beta in (0.3, 0.9, 1.0):
+        approx = second_taylor(K_SERIES, 0, beta)
+        assert approx.terms == (PolyTerm(0, float_coeff=complete_K(approx.beta)),)
+        assert approx.coefficients() == [complete_K(approx.beta)]
 
 
 def test_beta_one_redirected_for_divergent_targets():
@@ -193,6 +215,19 @@ GRID_09 = [i / 10.0 for i in range(1, 10)]
 def test_chains_hold(name, beta, grid):
     report = verify_chain(TARGETS[name], 10, beta, grid)
     assert report.ok, report.violations
+
+
+def test_chain_report_is_a_record(monkeypatch):
+    report = verify_chain(K_SERIES, 4, 0.9, [0.2, 0.4])
+    assert isinstance(report, ChainReport) and isinstance(report, tuple)
+    assert (report.ok, report.violations, report.grid) == (True, (), (0.2, 0.4))
+    with pytest.raises(AttributeError):
+        report.ok = False
+    # a slack below zero fails every comparison: ok follows the violations
+    monkeypatch.setattr(taylor, "_CHAIN_SLACK", -1.0)
+    report = verify_chain(K_SERIES, 4, 0.9, [0.2, 0.4])
+    assert report.ok is False
+    assert report.violations and {v.x for v in report.violations} == {0.2, 0.4}
 
 
 def test_chain_margins_shrink_with_degree():
