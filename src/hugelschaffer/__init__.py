@@ -18,6 +18,7 @@ from .curve import (
     point_at,
     q_unification_residual,
     sample_egg,
+    sample_grid,
 )
 from .elliptic import (
     AREA_SERIES,
@@ -39,6 +40,7 @@ from .taylor import (
     TaylorApprox,
     eval_approx,
     first_taylor,
+    second_corrections,
     second_taylor,
     verify_chain,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "point_at",
     "q_unification_residual",
     "sample_egg",
+    "sample_grid",
     "AREA_SERIES",
     "D_SERIES",
     "DomainError",
@@ -86,6 +89,7 @@ __all__ = [
     "TaylorApprox",
     "eval_approx",
     "first_taylor",
+    "second_corrections",
     "second_taylor",
     "verify_chain",
     "AreaBreakdown",

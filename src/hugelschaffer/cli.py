@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -75,20 +74,24 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _emit_csv(rows) -> None:
+    """One line of comma-joined text fields per row; no field the CLI
+    writes holds a comma, a quote or a line break, so none is quoted."""
+    sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
+
+
+def _text(v: object) -> str:
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _emit_kv(pairs: list[tuple[str, object]], fmt: str) -> None:
     if fmt == "json":
         _emit_json(dict(pairs))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([k for k, _ in pairs])
-        writer.writerow(
-            [_fmt(v) if isinstance(v, float) else v for _, v in pairs]
-        )
-        sys.stdout.write(buf.getvalue())
+        _emit_csv([[k for k, _ in pairs], [_text(v) for _, v in pairs]])
     else:
         for k, v in pairs:
-            sys.stdout.write(f"{k} = {_fmt(v) if isinstance(v, float) else v}\n")
+            sys.stdout.write(f"{k} = {_text(v)}\n")
 
 
 def _params(args) -> curve_mod.CurveParams:
@@ -155,7 +158,7 @@ def cmd_sample(args) -> int:
     params = _params(args)
     shape = curve_mod.derive(params)
     points = curve_mod.sample_egg(params, args.n)
-    ts = [2.0 * math.pi * j / (args.n - 1) for j in range(args.n)]
+    ts = curve_mod.sample_grid(args.n)
 
     if args.format == "svg":
         extent = max(params.a, shape.q * params.b)
@@ -194,12 +197,8 @@ def cmd_sample(args) -> int:
         _emit_json(payload)
         return 0
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x", "y"])
-    for t, p in zip(ts, points):
-        writer.writerow([_fmt(t), _fmt(p.x), _fmt(p.y)])
-    sys.stdout.write(buf.getvalue())
+    rows = ([_fmt(t), _fmt(p.x), _fmt(p.y)] for t, p in zip(ts, points))
+    _emit_csv([["t", "x", "y"], *rows])
     return 0
 
 
@@ -213,18 +212,12 @@ def cmd_approx_table(args) -> int:
     coeff_dump = [
         (f"x^{t.power}", _rational_pi_str(t.pi_coeff, Fraction(0))) for t in first.terms
     ]
-    corrections = []
-    for j in range(n + 1):
-        appr = taylor_mod.second_taylor(target, j, args.beta)
-        corr = appr.terms[-1]
-        if corr.is_exact():
-            corrections.append((j, _rational_pi_str(corr.pi_coeff, corr.const_coeff)))
-        else:
-            corrections.append((j, _fmt(corr.value())))
-
-    grid = [
-        beta_eff * (i + 1) / (args.grid_size + 1) for i in range(args.grid_size)
+    corrections = [
+        _rational_pi_str(c.pi_coeff, c.const_coeff) if c.is_exact() else _fmt(c.value())
+        for c in taylor_mod.second_corrections(target, n, args.beta)
     ]
+
+    grid = [beta_eff * (i + 1) / (args.grid_size + 1) for i in range(args.grid_size)]
     rows = []
     for x in grid:
         f = target_value(target, x)
@@ -243,26 +236,21 @@ def cmd_approx_table(args) -> int:
                     {"power": p, "value": v} for p, v in coeff_dump
                 ],
                 "second_kind_corrections": [
-                    {"degree": j, "value": v} for j, v in corrections
+                    {"degree": j, "value": v} for j, v in enumerate(corrections)
                 ],
                 "rows": [dict(zip(header, row)) for row in rows],
             }
         )
         return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        sys.stdout.write(buf.getvalue())
+        _emit_csv([header, *([_fmt(v) for v in row] for row in rows)])
         return 0
     sys.stdout.write(f"target {args.target}, degree {n}, beta {_fmt(beta_eff)}\n")
     sys.stdout.write("series coefficients:\n")
     for p, v in coeff_dump:
         sys.stdout.write(f"  {p}: {v}\n")
     sys.stdout.write("second-kind correction coefficients:\n")
-    for j, v in corrections:
+    for j, v in enumerate(corrections):
         sys.stdout.write(f"  degree {j}: {v}\n")
     sys.stdout.write(" ".join(h.rjust(24) for h in header) + "\n")
     for row in rows:
@@ -430,7 +418,7 @@ def _add_params(p: argparse.ArgumentParser) -> None:
 
 
 def _add_format(p: argparse.ArgumentParser, choices=("human", "csv", "json")) -> None:
-    p.add_argument("--format", choices=choices, default="human")
+    p.add_argument("--format", choices=choices, default=choices[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--circles", action="store_true")
-    _add_format(p, choices=("human", "csv", "json", "svg"))
+    _add_format(p, choices=("csv", "json", "svg"))
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("approx-table", help="Taylor approximants and errors")

@@ -24,6 +24,7 @@ __all__ = [
     "implicit_F",
     "implicit_Fq",
     "point_at",
+    "sample_grid",
     "sample_egg",
     "construction_circles",
     "q_unification_residual",
@@ -171,10 +172,10 @@ def _point_terms(params: CurveParams) -> tuple[float, float, float, float, float
     radicand times ``unit`` is the unscaled root, exactly.
     """
     a = params.a
-    q = derive(params).q
-    q2w = q * q * params.w
+    shape = derive(params)
+    q2w = -shape.u
     e = math.frexp(a)[1] - 1
-    return q2w, q * params.b, math.ldexp(1.0, e), math.ldexp(a, -e), math.ldexp(q2w, -e)
+    return q2w, shape.q * params.b, math.ldexp(1.0, e), math.ldexp(a, -e), math.ldexp(q2w, -e)
 
 
 def _point(
@@ -186,15 +187,18 @@ def _point(
     return PlanePoint(-q2w * s * s + c * root, qb * s)
 
 
-def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
-    """n points on a uniform t-grid over [0, 2*pi], closed at (a, 0)."""
+def sample_grid(n: int) -> list[float]:
+    """The n parameters t_j = 2*pi*j/(n - 1), j = 0..n-1, of a closed sample."""
     if n < 2:
         raise ValueError("need at least 2 sample points")
+    return [2.0 * math.pi * j / (n - 1) for j in range(n)]
+
+
+def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
+    """n points on ``sample_grid(n)``, closed at (a, 0)."""
+    ts = sample_grid(n)
     q2w, qb, unit, a_s, q2w_s = _point_terms(params)
-    points = [
-        _point(q2w, qb, unit, a_s, q2w_s, 2.0 * math.pi * j / (n - 1))
-        for j in range(n - 1)
-    ]
+    points = [_point(q2w, qb, unit, a_s, q2w_s, t) for t in ts[:-1]]
     points.append(points[0])  # exact closure at t = 2*pi
     return points
 
@@ -202,21 +206,15 @@ def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
 def construction_circles(
     params: CurveParams, n: int
 ) -> tuple[list[PlanePoint], list[PlanePoint]]:
-    """Samples of the two construction circles on a uniform t-grid.
+    """Samples of the two construction circles on ``sample_grid(n)``.
 
-    K1 is centered at the origin with radius a; K2 at (-q^2 w, 0) with
-    radius q*b.
+    K1 is centered at the origin with radius a; K2 at (u, 0) = (-q^2 w, 0)
+    with radius q*b.
     """
-    if n < 2:
-        raise ValueError("need at least 2 sample points")
-    a, b, w = params.a, params.b, params.w
-    q = derive(params).q
-    cx = -(q * q) * w
-    r2 = q * b
-    k1, k2 = [], []
-    for j in range(n):
-        t = 2.0 * math.pi * j / (n - 1)
-        s, c = math.sin(t), math.cos(t)
-        k1.append(PlanePoint(a * c, a * s))
-        k2.append(PlanePoint(cx + r2 * c, r2 * s))
+    ts = sample_grid(n)
+    a = params.a
+    shape = derive(params)
+    r2 = shape.q * params.b
+    k1 = [PlanePoint(a * math.cos(t), a * math.sin(t)) for t in ts]
+    k2 = [PlanePoint(shape.u + r2 * math.cos(t), r2 * math.sin(t)) for t in ts]
     return k1, k2

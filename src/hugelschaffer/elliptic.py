@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -136,50 +136,32 @@ class SeriesSum(NamedTuple):
 
 
 def _check_series_domain(target: SeriesTarget, x: float) -> None:
-    if abs(x) < 1.0:
-        return
-    if abs(x) == 1.0 and target.value_at_one is not None:
-        return
-    raise DomainError(
-        f"series for {target.value} does not converge at x={x!r}"
-    )
-
-
-def _sum_terms(
-    target: SeriesTarget, x: float, tol: float, max_terms: int
-) -> SeriesSum:
-    """Add terms until one after the first drops below ``tol``, or ``max_terms``."""
-    total = 0.0
-    term = 0.0
-    n = 0
-    for term in _float_terms(target, x):
-        total += term
-        n += 1
-        if n > 1 and abs(term) < tol:
-            break
-        if n >= max_terms:
-            break
-    return SeriesSum(total, n, term)
+    if not (abs(x) < 1.0 or (abs(x) == 1.0 and target.value_at_one is not None)):
+        raise DomainError(f"series for {target.value} does not converge at x={x!r}")
 
 
 def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """Sum the series until the current term drops below ``tol``.
 
-    ``last_term`` reports the achieved truncation level (the final term
-    added).  A ``tol`` that is not positive (NaN included) raises
-    ``ValueError``; reaching ``_MAX_SERIES_TERMS`` before a term drops
-    below ``tol`` raises ``DomainError`` rather than return a truncated sum.
+    The first term is always added.  ``last_term`` reports the achieved
+    truncation level (the final term added).  A ``tol`` that is not
+    positive (NaN included) raises ``ValueError``; reaching
+    ``_MAX_SERIES_TERMS`` before a term drops below ``tol`` raises
+    ``DomainError`` rather than return a truncated sum.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_series_domain(target, x)
-    result = _sum_terms(target, x, tol, _MAX_SERIES_TERMS)
-    if abs(result.last_term) >= tol:
-        raise DomainError(
-            f"series for {target.value} at x={x!r} did not reach tol={tol!r} "
-            f"within {result.terms_used} terms"
-        )
-    return result
+    total = 0.0
+    terms = islice(_float_terms(target, x), _MAX_SERIES_TERMS)
+    for n, term in enumerate(terms, 1):
+        total += term
+        if n > 1 and abs(term) < tol:
+            return SeriesSum(total, n, term)
+    raise DomainError(
+        f"series for {target.value} at x={x!r} did not reach tol={tol!r} "
+        f"within {_MAX_SERIES_TERMS} terms"
+    )
 
 
 def series_eval(target: SeriesTarget, x: float, tol: float = 1e-15) -> float:
@@ -195,8 +177,10 @@ def series_partial(target: SeriesTarget, x: float, n_terms: int) -> float:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    # no term is below a zero tolerance, so exactly n_terms are added
-    return _sum_terms(target, x, 0.0, n_terms).value
+    total = 0.0
+    for term in islice(_float_terms(target, x), n_terms):
+        total += term
+    return total
 
 
 def _check_modulus(k: float, *, allow_one: bool, name: str) -> None:

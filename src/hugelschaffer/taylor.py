@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import (
@@ -25,6 +26,7 @@ __all__ = [
     "ChainReport",
     "first_taylor",
     "second_taylor",
+    "second_corrections",
     "eval_approx",
     "verify_chain",
 ]
@@ -106,18 +108,12 @@ def first_taylor(target: SeriesTarget, n: int) -> TaylorApprox:
 
 
 def _resolve_beta(target: SeriesTarget, beta: float) -> float:
-    if target.value_at_one is not None:
-        if not (0.0 < beta <= 1.0):
-            raise DomainError(
-                f"beta must lie in (0, 1] for {target.value}, got {beta!r}"
-            )
-        return beta
-    if beta == 1.0:
+    closed = target.value_at_one is not None
+    if beta == 1.0 and not closed:
         return _NEAR_ONE_BETA
-    if not (0.0 < beta < 1.0):
-        raise DomainError(
-            f"beta must lie in (0, 1) for {target.value}, got {beta!r}"
-        )
+    if not (0.0 < beta < 1.0 or (closed and beta == 1.0)):
+        interval = "(0, 1]" if closed else "(0, 1)"
+        raise DomainError(f"beta must lie in {interval} for {target.value}, got {beta!r}")
     return beta
 
 
@@ -129,19 +125,44 @@ def second_taylor(target: SeriesTarget, n: int, beta: float) -> TaylorApprox:
     correction coefficient is carried exactly (rational plus rational
     multiple of pi).
     """
+    beta, base, (corr,) = _second(target, n, beta, (n,))
+    return TaylorApprox(target, n, beta, base.terms + (corr,))
+
+
+def second_corrections(target: SeriesTarget, n: int, beta: float) -> list[PolyTerm]:
+    """The correction term of ``second_taylor(target, j, beta)`` for j = 0..n,
+    all from one Maclaurin pass and with the same bits."""
+    return _second(target, n, beta, range(n + 1))[2]
+
+
+def _second(
+    target: SeriesTarget, n: int, beta: float, degrees: Sequence[int]
+) -> tuple[float, TaylorApprox, list[PolyTerm]]:
+    """The resolved beta, T_{n-1}, and the correction at each j in ``degrees``.
+
+    Every j is at most n, so T_{j-1} is the first (j + 1) // 2 terms of
+    T_{n-1}; ``degrees`` ascends.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     beta = _resolve_beta(target, beta)
     base = _maclaurin(target, n - 1)
     if beta == 1.0 and target.value_at_one is not None:
-        # T_{n-1}(1) = pi * sum of rational coefficients
-        pi_sum = sum((t.pi_coeff for t in base.terms), Fraction(0))
-        corr = PolyTerm(n, pi_coeff=-pi_sum, const_coeff=target.value_at_one)
-    else:
-        f_beta = target_value(target, beta)
-        t_beta = _horner(base._dense, beta)
-        corr = PolyTerm(n, float_coeff=(f_beta - t_beta) / beta**n)
-    return TaylorApprox(target, n, beta, base.terms + (corr,))
+        # T_{j-1}(1) = pi * sum of its rational coefficients
+        pi_sums = list(accumulate((t.pi_coeff for t in base.terms), initial=Fraction(0)))
+        one = target.value_at_one
+        return beta, base, [PolyTerm(j, -pi_sums[(j + 1) // 2], one) for j in degrees]
+    if beta ** degrees[-1] == 0.0:
+        raise DomainError(
+            f"no second-kind approximation of degree {degrees[-1]} at "
+            f"beta={beta!r}: beta**{degrees[-1]} underflows to 0"
+        )
+    f_beta = target_value(target, beta)
+    dense = base._dense
+    return beta, base, [
+        PolyTerm(j, float_coeff=(f_beta - _horner(dense[:j], beta)) / beta**j)
+        for j in degrees
+    ]
 
 
 def _horner(coeffs: Sequence[float], x: float) -> float:
@@ -206,9 +227,12 @@ def verify_chain(
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    beta_eff = _resolve_beta(target, beta)
-    firsts = [first_taylor(target, j) for j in range(max_degree + 1)]
-    seconds = [second_taylor(target, j, beta) for j in range(max_degree + 1)]
+    # T_j is the prefix dense[: j + 1] of T_{max_degree}; the second kind
+    # of degree j is dense[:j] with its correction on top
+    degrees = range(max_degree + 1)
+    beta_eff, base, corrections = _second(target, max_degree + 1, beta, degrees)
+    dense = base._dense
+    tops = [c.value() for c in corrections]
     sign = 1.0 if _first_is_lower(target) else -1.0
     violations: list[ChainViolation] = []
     first_margins: dict[float, list[float]] = {}
@@ -218,8 +242,8 @@ def verify_chain(
         if not (0.0 < x <= beta_eff):
             raise DomainError(f"grid point {x!r} outside (0, beta]")
         f = target_value(target, x)
-        tvals = [eval_approx(p, x) for p in firsts]
-        svals = [eval_approx(p, x) for p in seconds]
+        tvals = [_horner(dense[: j + 1], x) for j in degrees]
+        svals = [_horner(dense[:j] + (tops[j],), x) for j in degrees]
         eps = _CHAIN_SLACK * max(1.0, abs(f))
         failed = []
         # monotone approach of the first family toward f

@@ -176,6 +176,18 @@ def test_golden_files():
         area = run_cli("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor",
                        "--kind", kind, "--n", "6").stdout
         assert area == (GOLDEN / f"area_a4_b3_w2_taylor_{kind}_n6.txt").read_text()
+    egg = ("--a", "4", "--b", "3", "--w", "2")
+    sample = ("sample", "--a", "3", "--b", "2", "--w", "2", "--n", "9", "--circles")
+    for name, args in (
+        ("area_a4_b3_w2.csv", ("area", *egg, "--format", "csv")),
+        ("bounds_a4_b3_w2.csv", ("bounds", *egg, "--format", "csv")),
+        ("pi_series_100.csv", ("pi-series", "--terms", "100", "--format", "csv")),
+        ("approx_table_K_beta0.9.csv",
+         ("approx-table", "--target", "K", "--beta", "0.9", "--format", "csv")),
+        ("sample_a3_b2_w2_n9_circles.json", (*sample, "--format", "json")),
+        ("sample_a3_b2_w2_n9_circles.svg", (*sample, "--format", "svg")),
+    ):
+        assert run_cli(*args).stdout == (GOLDEN / name).read_text(), name
 
 
 def test_byte_determinism_across_runs():
@@ -253,10 +265,11 @@ def test_verify_passes():
 
 def test_import_leaves_numpy_out():
     # dataclasses brings in inspect (and ast, dis, tokenize): about a third
-    # of the package's import time on every CLI call
+    # of the package's import time on every CLI call; csv output is joined
+    # by hand, so the csv module is not needed either
     code = (
         "import sys, hugelschaffer.cli; "
-        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect', 'csv') if m in sys.modules])"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -292,3 +305,25 @@ def test_verify_has_no_csv_format():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "invalid choice" in result.stderr
+
+
+def test_sample_formats_are_csv_json_svg():
+    egg = ("sample", "--a", "3", "--b", "2", "--w", "2", "--n", "9")
+    result = run_cli(*egg, "--format", "human")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "invalid choice" in result.stderr
+    plain = run_cli(*egg)
+    assert plain.returncode == 0
+    assert plain.stdout == run_cli(*egg, "--format", "csv").stdout
+
+
+def test_underflowing_second_kind_is_an_error():
+    # beta**3 underflows to 0 at beta = 1e-320
+    result = run_cli("approx-table", "--target", "E", "--beta", "1e-320", "--max-degree", "3")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "1e-320" in result.stderr and "degree 3" in result.stderr
+    assert "Traceback" not in result.stderr
+

@@ -20,6 +20,7 @@ from hugelschaffer.curve import (
     point_at,
     q_unification_residual,
     sample_egg,
+    sample_grid,
 )
 
 
@@ -143,12 +144,27 @@ def test_samples_satisfy_implicit_equation():
             assert abs(implicit_Fq(params, point)) <= 1e-9 * scale
 
 
+def test_sample_grid():
+    assert sample_grid(2) == [0.0, 2.0 * math.pi]
+    assert sample_grid(5) == [0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2.0 * math.pi]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            sample_grid(n)
+    with pytest.raises(ValueError, match="at least 2"):
+        construction_circles(CurveParams(3, 2, 2), 1)
+
+
 def test_construction_circles():
     p = CurveParams(3, 2, 2)
     k1, k2 = construction_circles(p, 5)
     assert k1[0] == pytest.approx((3.0, 0.0))
     assert k2[1] == pytest.approx((-2.0, 2.0), abs=1e-14)  # t = pi/2
     assert k2[0] == pytest.approx((0.0, 0.0))  # -q^2 w + q b = -2 + 2
+    # K2 is centred on the extremum abscissa u of ``derive``
+    for params in (CurveParams(2, 3, 4), CurveParams(1.5, 1, 1.2)):
+        shape = derive(params)
+        _, k2 = construction_circles(params, 5)
+        assert k2[0] == (shape.u + shape.q * params.b, 0.0)
 
 
 params_st = st.builds(

@@ -302,3 +302,17 @@ def test_agm_stops_within_ten_square_roots(monkeypatch):
         calls = 0
         complete_K(k)
         assert calls <= 10, (k, calls)
+
+
+def test_series_sum_stops_at_the_first_small_term_after_the_first():
+    for target in (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES):
+        for x in (0.0, -0.5, 0.3, 0.9, 0.99):
+            for tol in (1e-16, 1e-8, 10.0):
+                total, n = 0.0, 0
+                for term in elliptic._float_terms(target, x):
+                    total += term
+                    n += 1
+                    if n > 1 and abs(term) < tol:
+                        break
+                assert series_sum(target, x, tol) == (total, n, term)
+                assert series_partial(target, x, n) == total

@@ -26,6 +26,7 @@ from hugelschaffer.taylor import (
     PolyTerm,
     eval_approx,
     first_taylor,
+    second_corrections,
     second_taylor,
     verify_chain,
 )
@@ -242,3 +243,42 @@ def test_chain_area_constant_second_is_endpoint_value():
     # the degree-0 endpoint-corrected approximant is the constant A(beta)
     a0 = second_taylor(AREA_SERIES, 0, 1.0)
     assert eval_approx(a0, 0.5) == pytest.approx(8.0 / 3.0)
+
+
+@pytest.mark.parametrize("target", [K_SERIES, E_SERIES, D_SERIES, AREA_SERIES])
+@pytest.mark.parametrize("beta", [1.0, 0.9, 0.5])
+def test_one_pass_corrections_equal_the_per_degree_ones(target, beta):
+    corrections = second_corrections(target, 40, beta)
+    assert len(corrections) == 41
+    for j, corr in enumerate(corrections):
+        reference = second_taylor(target, j, beta).terms[-1]
+        assert corr == reference, (j, corr, reference)
+        assert corr.float_coeff.hex() == reference.float_coeff.hex()
+
+
+def test_chain_margins_equal_the_per_degree_evaluations():
+    grid = [0.1 * i for i in range(1, 10)] + [0.95]
+    for target, beta in ((K_SERIES, 0.95), (D_SERIES, 0.95), (E_SERIES, 1.0),
+                         (AREA_SERIES, 1.0), (AREA_SERIES, 0.95), (E_SERIES, 0.97)):
+        report = verify_chain(target, 12, beta, grid)
+        for x in grid:
+            f = target_value(target, x)
+            first = [abs(eval_approx(first_taylor(target, j), x) - f) for j in range(13)]
+            second = [abs(eval_approx(second_taylor(target, j, beta), x) - f) for j in range(13)]
+            assert report.first_margins[x] == first
+            assert report.second_margins[x] == second
+
+
+def test_underflowing_beta_power_is_a_domain_error():
+    from hugelschaffer.area import area_taylor
+    from hugelschaffer.curve import CurveParams
+
+    # 0.5**1100 underflows to 0, so the correction cannot be scaled
+    with pytest.raises(DomainError, match=r"degree 1100 at beta=0\.5"):
+        second_taylor(K_SERIES, 1100, 0.5)
+    with pytest.raises(DomainError, match=r"degree 1100 at beta=0\.5"):
+        area_taylor(CurveParams(1, 1, 0.25), 1100, 0.5)
+    with pytest.raises(DomainError, match="underflows"):
+        second_corrections(E_SERIES, 3, 1e-320)
+    # a subnormal power is still a number
+    assert math.isfinite(second_taylor(K_SERIES, 1070, 0.5).terms[-1].float_coeff)
