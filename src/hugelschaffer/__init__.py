@@ -21,11 +21,7 @@ from .curve import (
     sample_grid,
 )
 from .elliptic import (
-    AREA_SERIES,
-    D_SERIES,
     DomainError,
-    E_SERIES,
-    K_SERIES,
     SeriesTarget,
     complete_D,
     complete_E,
@@ -72,11 +68,7 @@ __all__ = [
     "q_unification_residual",
     "sample_egg",
     "sample_grid",
-    "AREA_SERIES",
-    "D_SERIES",
     "DomainError",
-    "E_SERIES",
-    "K_SERIES",
     "SeriesTarget",
     "complete_D",
     "complete_E",

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional
 from . import oracle, taylor
 from .curve import CurveParams, _q_and_k
 from .elliptic import (
-    AREA_SERIES,
     DomainError,
+    SeriesTarget,
     complete_D,
     complete_E,
     complete_K,
@@ -167,13 +167,13 @@ def area_exact(params: CurveParams) -> AreaBreakdown:
 def area_series(params: CurveParams, tol: float = 1e-14) -> float:
     """Area via the modulus power series, truncated at ``tol``."""
     scale, k = _scale_and_k(params)
-    return scale * series_eval(AREA_SERIES, k, tol)
+    return scale * series_eval(SeriesTarget.AREA, k, tol)
 
 
 def area_series_partial(params: CurveParams, n_terms: int) -> float:
     """Area series summed over a fixed number of terms (endpoint probing)."""
     scale, k = _scale_and_k(params)
-    return scale * series_partial(AREA_SERIES, k, n_terms)
+    return scale * series_partial(SeriesTarget.AREA, k, n_terms)
 
 
 def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> float:
@@ -184,9 +184,9 @@ def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> fl
     """
     scale, k = _scale_and_k(params)
     if beta is None:
-        approx = taylor.first_taylor(AREA_SERIES, n)
+        approx = taylor.first_taylor(SeriesTarget.AREA, n)
     else:
-        approx = taylor.second_taylor(AREA_SERIES, n, beta)
+        approx = taylor.second_taylor(SeriesTarget.AREA, n, beta)
     return scale * taylor.eval_approx(approx, k)
 
 

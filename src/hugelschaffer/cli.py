@@ -26,20 +26,13 @@ from . import area as area_mod
 from . import curve as curve_mod
 from . import oracle as oracle_mod
 from . import taylor as taylor_mod
-from .elliptic import (
-    AREA_SERIES,
-    D_SERIES,
-    DomainError,
-    E_SERIES,
-    K_SERIES,
-    series_eval,
-    target_value,
-)
+from .elliptic import DomainError, SeriesTarget, series_eval, target_value
 
 # 30-digit reference used for the pi-series error column.
 PI_30 = Decimal("3.14159265358979323846264338328")
 
-_TARGETS = {"K": K_SERIES, "E": E_SERIES, "D": D_SERIES, "A": AREA_SERIES}
+# the --target letter of each member, in member order
+_TARGETS = dict(zip("KEDA", SeriesTarget))
 
 
 def _fmt(x: float) -> str:
@@ -111,8 +104,7 @@ def cmd_area(args) -> int:
     elif args.method == "series":
         total = area_mod.area_series(params, tol=args.tol)
     else:
-        beta = None if args.kind == "first" else args.beta
-        total = area_mod.area_taylor(params, args.n, beta)
+        total = area_mod.area_taylor(params, args.n, args.beta)
     part1, part2, diff = area_mod._subareas(total, scale, k)
     pairs = [
         ("total", total),
@@ -157,8 +149,8 @@ def _svg_path(points) -> str:
 def cmd_sample(args) -> int:
     params = _params(args)
     shape = curve_mod.derive(params)
-    points = curve_mod.sample_egg(params, args.n)
     ts = curve_mod.sample_grid(args.n)
+    points = curve_mod.sample_egg(params, ts)
 
     if args.format == "svg":
         extent = max(params.a, shape.q * params.b)
@@ -191,7 +183,7 @@ def cmd_sample(args) -> int:
             ]
         }
         if args.circles:
-            k1, k2 = curve_mod.construction_circles(params, args.n)
+            k1, k2 = curve_mod.construction_circles(params, ts)
             payload["circle1"] = [{"x": p.x, "y": p.y} for p in k1]
             payload["circle2"] = [{"x": p.x, "y": p.y} for p in k2]
         _emit_json(payload)
@@ -299,9 +291,7 @@ def _verification_checks() -> list[tuple[str, float, float]]:
             1e-11,
         )
     )
-    for name, target in (
-        ("K", K_SERIES), ("E", E_SERIES), ("D", D_SERIES), ("area", AREA_SERIES)
-    ):
+    for name, target in zip(("K", "E", "D", "area"), SeriesTarget):
         checks.append(
             (
                 f"series/direct agreement {name}",
@@ -315,10 +305,10 @@ def _verification_checks() -> list[tuple[str, float, float]]:
         )
 
     fixtures_ok = (
-        K_SERIES.coeff(2) == Fraction(9, 128)
-        and E_SERIES.coeff(2) == Fraction(-3, 128)
-        and D_SERIES.coeff(3) == Fraction(175, 4096)
-        and AREA_SERIES.coeff(5) == Fraction(-147, 131072)
+        SeriesTarget.K.coeff(2) == Fraction(9, 128)
+        and SeriesTarget.E.coeff(2) == Fraction(-3, 128)
+        and SeriesTarget.D.coeff(3) == Fraction(175, 4096)
+        and SeriesTarget.AREA.coeff(5) == Fraction(-147, 131072)
     )
     checks.append(("table coefficient fixtures", 0.0 if fixtures_ok else 1.0, 0.0))
 
@@ -342,10 +332,10 @@ def _verification_checks() -> list[tuple[str, float, float]]:
     chain_ok = all(
         taylor_mod.verify_chain(t, 10, beta, [0.1 * i for i in range(1, 10)]).ok
         for t, beta in (
-            (K_SERIES, 0.95),
-            (D_SERIES, 0.95),
-            (E_SERIES, 1.0),
-            (AREA_SERIES, 1.0),
+            (SeriesTarget.K, 0.95),
+            (SeriesTarget.D, 0.95),
+            (SeriesTarget.E, 1.0),
+            (SeriesTarget.AREA, 1.0),
         )
     )
     checks.append(("two-sided chains", 0.0 if chain_ok else 1.0, 0.0))
@@ -433,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--method", choices=("exact", "series", "taylor"), default="exact")
     p.add_argument("--n", type=int, default=4, help="Taylor degree")
-    p.add_argument("--kind", choices=("first", "second"), default="first")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument(
+        "--beta", type=float, help="second-kind anchor; without it, the first kind"
+    )
     p.add_argument("--tol", type=float, default=1e-14)
     _add_format(p)
     p.set_defaults(func=cmd_area)
@@ -478,6 +469,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--n must be at least 2")
     if args.command == "pi-series" and args.terms < 1:
         parser.error("--terms must be at least 1")
+    if args.command == "approx-table" and args.max_degree < 0:
+        parser.error("--max-degree must be at least 0")
+    if args.command == "approx-table" and args.grid_size < 1:
+        parser.error("--grid-size must be at least 1")
+    if args.command == "area" and args.method == "taylor" and args.n < 0:
+        parser.error("--n must be at least 0")
     # buffered, so a command that fails part-way writes nothing to stdout
     out = io.StringIO()
     try:

@@ -194,9 +194,12 @@ def sample_grid(n: int) -> list[float]:
     return [2.0 * math.pi * j / (n - 1) for j in range(n)]
 
 
-def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
-    """n points on ``sample_grid(n)``, closed at (a, 0)."""
-    ts = sample_grid(n)
+def sample_egg(params: CurveParams, ts: list[float]) -> list[PlanePoint]:
+    """The egg point at each t of ``ts``, a ``sample_grid``.
+
+    The grid ends at t = 2*pi, so the last point repeats the first and
+    closes the egg exactly at (a, 0).
+    """
     q2w, qb, unit, a_s, q2w_s = _point_terms(params)
     points = [_point(q2w, qb, unit, a_s, q2w_s, t) for t in ts[:-1]]
     points.append(points[0])  # exact closure at t = 2*pi
@@ -204,14 +207,13 @@ def sample_egg(params: CurveParams, n: int) -> list[PlanePoint]:
 
 
 def construction_circles(
-    params: CurveParams, n: int
+    params: CurveParams, ts: list[float]
 ) -> tuple[list[PlanePoint], list[PlanePoint]]:
-    """Samples of the two construction circles on ``sample_grid(n)``.
+    """Samples of the two construction circles at each t of ``ts``.
 
     K1 is centered at the origin with radius a; K2 at (u, 0) = (-q^2 w, 0)
     with radius q*b.
     """
-    ts = sample_grid(n)
     a = params.a
     shape = derive(params)
     r2 = shape.q * params.b

@@ -10,10 +10,12 @@ series with exact rational coefficients (``series_eval``), which also
 covers the scale-free egg-area function.
 
 All four series share one form: the multiplier of pi * x^(2i) is
-r_i * num(i) / den(i), with r_i = ((2i-1)!!/(2i)!!)^2 and one (num, den)
-entry per target in ``_MULTIPLIERS``.  r_i is carried by the recurrence
+r_i * num(i) / den(i), with r_i = ((2i-1)!!/(2i)!!)^2.  Each
+``SeriesTarget`` is described once, in the table ``_SERIES``: its
+(num, den), its exact value at x = 1 where the series converges there,
+and its closed form.  r_i is carried by the recurrence
 r_{i+1} = r_i ((2i+1)/(2i+2))^2, exactly in ``SeriesTarget.coeffs`` and in
-floats in the terms summed by ``series_sum``; both read that table.
+floats in the terms summed by ``series_sum``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 __all__ = [
     "DomainError",
     "SeriesTarget",
-    "K_SERIES",
-    "E_SERIES",
-    "D_SERIES",
-    "AREA_SERIES",
     "complete_K",
     "complete_E",
     "complete_D",
@@ -61,7 +59,8 @@ class SeriesTarget(Enum):
 
     ``coeff(i)`` is the exact rational multiplier of pi * x^(2i); for the
     area target the series is scale-free (the a*b*q factor is applied by
-    the caller).  All four targets have convergence radius 1.
+    the caller).  All four targets have convergence radius 1.  What
+    distinguishes them is read from ``_SERIES``.
     """
 
     K = "K"
@@ -72,15 +71,17 @@ class SeriesTarget(Enum):
     @property
     def value_at_one(self) -> Optional[Fraction]:
         """Exact endpoint value where the series converges at x = 1."""
-        if self is SeriesTarget.E:
-            return Fraction(1)
-        if self is SeriesTarget.AREA:
-            return Fraction(8, 3)
-        return None
+        return _SERIES[self].value_at_one
+
+    def check_domain(self, x: float) -> None:
+        """Raise ``DomainError`` unless the series converges at x: |x| < 1,
+        or |x| = 1 where the target has a value there."""
+        if not (abs(x) < 1.0 or (abs(x) == 1.0 and self.value_at_one is not None)):
+            raise DomainError(f"series for {self.value} does not converge at x={x!r}")
 
     def coeffs(self, m: int) -> list[Fraction]:
         """Signed rational multipliers of pi * x^(2i) for i = 0 .. m-1."""
-        multiplier = _MULTIPLIERS[self]
+        multiplier = _SERIES[self].multiplier
         out = []
         r = Fraction(1)  # ((2i-1)!!/(2i)!!)^2
         for i in range(m):
@@ -96,28 +97,13 @@ class SeriesTarget(Enum):
         return self.coeffs(i + 1)[-1]
 
 
-# (num(i), den(i)) of each target's multiplier r_i * num(i) / den(i); every
-# entry holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
-_MULTIPLIERS: dict[SeriesTarget, Callable[[int], tuple[int, int]]] = {
-    SeriesTarget.K: lambda i: (1, 2),
-    SeriesTarget.E: lambda i: (-1, 4 * i - 2),
-    SeriesTarget.D: lambda i: (2 * i + 1, 4 * i + 4),
-    SeriesTarget.AREA: lambda i: (-1, (2 * i - 1) * (i + 1)),
-}
-
-K_SERIES = SeriesTarget.K
-E_SERIES = SeriesTarget.E
-D_SERIES = SeriesTarget.D
-AREA_SERIES = SeriesTarget.AREA
-
-
 def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     """Signed series terms (including the pi factor) at the point x.
 
     The double-factorial ratio is carried as a float recurrence; no
     factorials are ever formed.
     """
-    multiplier = _MULTIPLIERS[target]
+    multiplier = _SERIES[target].multiplier
     x2 = x * x
     r = 1.0  # ((2i-1)!!/(2i)!!)^2
     xp = 1.0  # x^(2i)
@@ -135,11 +121,6 @@ class SeriesSum(NamedTuple):
     last_term: float
 
 
-def _check_series_domain(target: SeriesTarget, x: float) -> None:
-    if not (abs(x) < 1.0 or (abs(x) == 1.0 and target.value_at_one is not None)):
-        raise DomainError(f"series for {target.value} does not converge at x={x!r}")
-
-
 def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """Sum the series until the current term drops below ``tol``.
 
@@ -151,7 +132,7 @@ def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_series_domain(target, x)
+    target.check_domain(x)
     total = 0.0
     terms = islice(_float_terms(target, x), _MAX_SERIES_TERMS)
     for n, term in enumerate(terms, 1):
@@ -281,6 +262,27 @@ def scale_free_area(k: float) -> float:
     return (4.0 / 3.0) * (2.0 * bigE - kp * kp * bigD)
 
 
+class _Series(NamedTuple):
+    """One series target: the (num(i), den(i)) of its multiplier
+    r_i * num(i) / den(i), its exact value at x = 1 (None where the series
+    diverges there) and its closed form."""
+
+    multiplier: Callable[[int], tuple[int, int]]
+    value_at_one: Optional[Fraction]
+    closed_form: Callable[[float], float]
+
+
+# Every multiplier holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
+_SERIES: dict[SeriesTarget, _Series] = {
+    SeriesTarget.K: _Series(lambda i: (1, 2), None, complete_K),
+    SeriesTarget.E: _Series(lambda i: (-1, 4 * i - 2), Fraction(1), complete_E),
+    SeriesTarget.D: _Series(lambda i: (2 * i + 1, 4 * i + 4), None, complete_D),
+    SeriesTarget.AREA: _Series(
+        lambda i: (-1, (2 * i - 1) * (i + 1)), Fraction(8, 3), scale_free_area
+    ),
+}
+
+
 def target_value(target: SeriesTarget, x: float) -> float:
     """Direct (non-series) value of the series-defined function at x.
 
@@ -288,10 +290,4 @@ def target_value(target: SeriesTarget, x: float) -> float:
     area as a function of the modulus, (4/3)(K + E - D), with the ellipse
     and parabola limits at the endpoints.
     """
-    if target is SeriesTarget.K:
-        return complete_K(x)
-    if target is SeriesTarget.E:
-        return complete_E(x)
-    if target is SeriesTarget.D:
-        return complete_D(x)
-    return scale_free_area(x)
+    return _SERIES[target].closed_form(x)

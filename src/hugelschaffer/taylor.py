@@ -14,11 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .elliptic import (
-    DomainError,
-    SeriesTarget,
-    target_value,
-)
+from .elliptic import DomainError, SeriesTarget, target_value
 
 __all__ = [
     "PolyTerm",
@@ -180,11 +176,7 @@ def eval_approx(approx: TaylorApprox, x: float) -> float:
                 f"second approximation valid on [-{approx.beta}, {approx.beta}], got {x!r}"
             )
     else:
-        limit_closed = approx.target.value_at_one is not None
-        if abs(x) > 1.0 or (abs(x) == 1.0 and not limit_closed):
-            raise DomainError(
-                f"first approximation valid inside radius 1.0, got {x!r}"
-            )
+        approx.target.check_domain(x)
     return _horner(approx._dense, x)
 
 
@@ -207,12 +199,6 @@ class ChainReport(NamedTuple):
     second_margins: dict[float, list[float]]
 
 
-def _first_is_lower(target: SeriesTarget) -> bool:
-    # K and D: Maclaurin truncations approach from below; E and the area
-    # function have negative tail terms, so the direction flips.
-    return target in (SeriesTarget.K, SeriesTarget.D)
-
-
 def verify_chain(
     target: SeriesTarget,
     max_degree: int,
@@ -221,8 +207,9 @@ def verify_chain(
 ) -> ChainReport:
     """Check T_0, T_1, ..., f(x), ..., second_1, second_0 ordering on a grid.
 
-    For K and D the first approximations lie below the function and the
-    second ones above; for E and the area function the directions are
+    Where the series coefficients past the first are positive (K, D) the
+    first approximations lie below the function and the second ones above;
+    where they are negative (E, the area function) the directions are
     reversed.  ``_CHAIN_SLACK`` absorbs rounding at coincidence points.
     """
     if max_degree < 0:
@@ -233,7 +220,8 @@ def verify_chain(
     beta_eff, base, corrections = _second(target, max_degree + 1, beta, degrees)
     dense = base._dense
     tops = [c.value() for c in corrections]
-    sign = 1.0 if _first_is_lower(target) else -1.0
+    # every coefficient past the first has the sign of c_1
+    sign = 1.0 if target.coeff(1) > 0 else -1.0
     violations: list[ChainViolation] = []
     first_margins: dict[float, list[float]] = {}
     second_margins: dict[float, list[float]] = {}

@@ -29,10 +29,7 @@ from hugelschaffer.curve import (
     q_unification_residual,
 )
 from hugelschaffer.elliptic import (
-    AREA_SERIES,
-    D_SERIES,
-    E_SERIES,
-    K_SERIES,
+    SeriesTarget,
     complete_D,
     complete_E,
     complete_K,
@@ -61,11 +58,12 @@ def _twenty_triples():
 
 
 def test_criterion_1_table_fixtures_exact():
+    K, E, D, A = SeriesTarget
     expected_first = {
-        K_SERIES: [F(1, 2), F(1, 8), F(9, 128), F(25, 512), F(1225, 32768), F(3969, 131072)],
-        E_SERIES: [F(1, 2), F(-1, 8), F(-3, 128), F(-5, 512), F(-175, 32768), F(-441, 131072)],
-        D_SERIES: [F(1, 4), F(3, 32), F(15, 256), F(175, 4096), F(2205, 65536), F(14553, 524288)],
-        AREA_SERIES: [F(1), F(-1, 8), F(-1, 64), F(-5, 1024), F(-35, 16384), F(-147, 131072)],
+        K: [F(1, 2), F(1, 8), F(9, 128), F(25, 512), F(1225, 32768), F(3969, 131072)],
+        E: [F(1, 2), F(-1, 8), F(-3, 128), F(-5, 512), F(-175, 32768), F(-441, 131072)],
+        D: [F(1, 4), F(3, 32), F(15, 256), F(175, 4096), F(2205, 65536), F(14553, 524288)],
+        A: [F(1), F(-1, 8), F(-1, 64), F(-5, 1024), F(-35, 16384), F(-147, 131072)],
     }
     for target, coeffs in expected_first.items():
         approx = first_taylor(target, 10)
@@ -77,7 +75,7 @@ def test_criterion_1_table_fixtures_exact():
     }
     for degree, pi_mult in area_corrections.items():
         for j in (degree, degree + 1):
-            corr = second_taylor(AREA_SERIES, j, 1.0).terms[-1]
+            corr = second_taylor(SeriesTarget.AREA, j, 1.0).terms[-1]
             assert corr.const_coeff == F(8, 3)
             assert corr.pi_coeff == pi_mult
     _report(1, "Taylor coefficients for j = 0..10 match the table fixtures exactly")
@@ -131,10 +129,10 @@ def test_criterion_4_theorem_algebra():
 def test_criterion_5_sandwich_chains():
     grid = [i / 10.0 for i in range(1, 10)]
     for target, beta in (
-        (K_SERIES, 0.95),
-        (D_SERIES, 0.95),
-        (E_SERIES, 1.0),
-        (AREA_SERIES, 1.0),
+        (SeriesTarget.K, 0.95),
+        (SeriesTarget.D, 0.95),
+        (SeriesTarget.E, 1.0),
+        (SeriesTarget.AREA, 1.0),
     ):
         report = verify_chain(target, 10, beta, grid)
         assert report.ok, report.violations
@@ -152,7 +150,7 @@ def test_criterion_6_degenerate_limits():
     series = area_series_partial(params, 10**6)
     assert abs(series - exact) / exact <= 1e-8
     # k -> 0 limit of the series is the ellipse value a*b*q*pi
-    assert series_eval(AREA_SERIES, 0.0, 1e-16) == pytest.approx(math.pi, rel=1e-15)
+    assert series_eval(SeriesTarget.AREA, 0.0, 1e-16) == pytest.approx(math.pi, rel=1e-15)
     _report(6, "k = 1 branch value and series limits at both endpoints agree")
 
 

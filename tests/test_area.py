@@ -19,7 +19,7 @@ from hugelschaffer.area import (
     inv_pi_partial,
 )
 from hugelschaffer.curve import CurveParams, derive, point_at
-from hugelschaffer.elliptic import AREA_SERIES, DomainError, target_value
+from hugelschaffer.elliptic import DomainError, SeriesTarget, target_value
 from hugelschaffer.oracle import quad, quad_area
 from hugelschaffer.taylor import eval_approx, first_taylor
 from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
@@ -149,7 +149,7 @@ def test_series_limits():
 
 def test_monotone_in_k_at_fixed_scale():
     # scale-free area strictly decreases in the modulus
-    values = [target_value(AREA_SERIES, k / 20) for k in range(1, 20)]
+    values = [target_value(SeriesTarget.AREA, k / 20) for k in range(1, 20)]
     assert all(x > y for x, y in zip(values, values[1:]))
 
 
@@ -239,7 +239,7 @@ class TestBounds:
     def test_upper_refined_is_the_degree_two_approximant(self):
         # the explicit pi - (pi/8) k^2 is Horner on the first-kind
         # degree-2 approximant of the area series, bit for bit
-        approx = first_taylor(AREA_SERIES, 2)
+        approx = first_taylor(SeriesTarget.AREA, 2)
         rng = random.Random(82)
         for _ in range(2000):
             a, b = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)

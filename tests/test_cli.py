@@ -172,9 +172,9 @@ def test_golden_files():
             table = run_cli("approx-table", "--target", target, "--beta", beta,
                             "--format", fmt).stdout
             assert table == (GOLDEN / f"{name}.{ext}").read_text(), (name, fmt)
-    for kind in ("first", "second"):
+    for kind, beta in (("first", ()), ("second", ("--beta", "1"))):
         area = run_cli("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor",
-                       "--kind", kind, "--n", "6").stdout
+                       *beta, "--n", "6").stdout
         assert area == (GOLDEN / f"area_a4_b3_w2_taylor_{kind}_n6.txt").read_text()
     egg = ("--a", "4", "--b", "3", "--w", "2")
     sample = ("sample", "--a", "3", "--b", "2", "--w", "2", "--n", "9", "--circles")
@@ -327,3 +327,36 @@ def test_underflowing_second_kind_is_an_error():
     assert "1e-320" in result.stderr and "degree 3" in result.stderr
     assert "Traceback" not in result.stderr
 
+
+
+def test_area_taylor_kind_is_set_by_beta():
+    egg = ("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor", "--n", "6")
+    kind = run_cli(*egg, "--kind", "first")
+    assert kind.returncode == 2
+    assert "unrecognized arguments: --kind" in kind.stderr
+    # a beta outside (0, 1] is reported, not ignored
+    outside = run_cli(*egg, "--beta", "7")
+    assert outside.returncode == 1
+    assert outside.stdout == ""
+    assert outside.stderr.startswith("error: beta must lie in")
+
+
+def _usage_error(*args, flag):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"{flag} must be at least" in result.stderr
+
+
+def test_grid_size_below_one_is_a_usage_error():
+    for size in ("0", "-2"):
+        _usage_error("approx-table", "--target", "K", "--grid-size", size, flag="--grid-size")
+
+
+def test_negative_max_degree_is_a_usage_error():
+    _usage_error("approx-table", "--target", "K", "--max-degree", "-1", flag="--max-degree")
+
+
+def test_negative_taylor_degree_is_a_usage_error():
+    _usage_error("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor",
+                 "--n", "-1", flag="--n")

@@ -127,20 +127,21 @@ def test_point_at_anchor_points():
 
 def test_sample_egg_closure_and_quarter_points():
     p = CurveParams(3, 2, 2)
-    two = sample_egg(p, 2)
+    two = sample_egg(p, sample_grid(2))
     assert two[0] == two[1] == (3.0, 0.0)
-    five = sample_egg(p, 5)
+    five = sample_egg(p, sample_grid(5))
     assert five[1] == pytest.approx((-2.0, 2.0), abs=1e-14)  # t = pi/2
     assert five[3] == pytest.approx((-2.0, -2.0), abs=1e-14)  # t = 3pi/2
-    with pytest.raises(ValueError):
-        sample_egg(p, 1)
+    # every point but the closing one is the point at its own t
+    ts = sample_grid(9)
+    assert sample_egg(p, ts)[:-1] == [point_at(p, t) for t in ts[:-1]]
 
 
 def test_samples_satisfy_implicit_equation():
     for params in (CurveParams(3, 2, 2), CurveParams(2, 2, 4), CurveParams(2, 1, 2)):
         q = derive(params).q
         scale = params.a**2 * params.b**2 * q * q
-        for point in sample_egg(params, 101):
+        for point in sample_egg(params, sample_grid(101)):
             assert abs(implicit_Fq(params, point)) <= 1e-9 * scale
 
 
@@ -150,20 +151,18 @@ def test_sample_grid():
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2"):
             sample_grid(n)
-    with pytest.raises(ValueError, match="at least 2"):
-        construction_circles(CurveParams(3, 2, 2), 1)
 
 
 def test_construction_circles():
     p = CurveParams(3, 2, 2)
-    k1, k2 = construction_circles(p, 5)
+    k1, k2 = construction_circles(p, sample_grid(5))
     assert k1[0] == pytest.approx((3.0, 0.0))
     assert k2[1] == pytest.approx((-2.0, 2.0), abs=1e-14)  # t = pi/2
     assert k2[0] == pytest.approx((0.0, 0.0))  # -q^2 w + q b = -2 + 2
     # K2 is centred on the extremum abscissa u of ``derive``
     for params in (CurveParams(2, 3, 4), CurveParams(1.5, 1, 1.2)):
         shape = derive(params)
-        _, k2 = construction_circles(params, 5)
+        _, k2 = construction_circles(params, sample_grid(5))
         assert k2[0] == (shape.u + shape.q * params.b, 0.0)
 
 

@@ -7,13 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import hugelschaffer
 from hugelschaffer import elliptic
 from hugelschaffer.elliptic import (
-    AREA_SERIES,
-    D_SERIES,
     DomainError,
-    E_SERIES,
-    K_SERIES,
     SeriesTarget,
     complete_D,
     complete_E,
@@ -25,6 +22,7 @@ from hugelschaffer.elliptic import (
     target_value,
 )
 from hugelschaffer.oracle import quad_elliptic
+from hugelschaffer.taylor import eval_approx, first_taylor
 from moduli import BULK_K, NEAR_ONE_K, SMALL_K, reference_dps
 
 # Frozen oracle values: adaptive Simpson quadrature of the defining
@@ -46,7 +44,7 @@ class TestCompleteK:
         assert abs(complete_K(0.5) - quad_elliptic("K", 0.5)) < 1e-11
 
     def test_against_series_at_09(self):
-        series = series_eval(K_SERIES, 0.9, tol=1e-16)
+        series = series_eval(SeriesTarget.K, 0.9, tol=1e-16)
         assert abs(complete_K(0.9) - series) < 1e-12
 
     def test_domain(self):
@@ -106,7 +104,7 @@ def test_monotonicity_on_grid():
 
 
 def test_series_direct_agreement():
-    for target, f in ((K_SERIES, complete_K), (E_SERIES, complete_E), (D_SERIES, complete_D)):
+    for target, f in zip(SeriesTarget, (complete_K, complete_E, complete_D)):
         for k in GRID:
             if k > 0.9:
                 continue
@@ -122,71 +120,73 @@ def _exact_dblfact_ratio_sq(i):
 # each target's coefficient over ((2i-1)!!/(2i)!!)^2, written out apart
 # from the multiplier table
 _FACTORIAL_FORMS = {
-    K_SERIES: lambda i: Fraction(1, 2),
-    E_SERIES: lambda i: Fraction(-1, 4 * i - 2),
-    D_SERIES: lambda i: Fraction(2 * i + 1, 4 * (i + 1)),
-    AREA_SERIES: lambda i: Fraction(-1, (2 * i - 1) * (i + 1)),
+    SeriesTarget.K: lambda i: Fraction(1, 2),
+    SeriesTarget.E: lambda i: Fraction(-1, 4 * i - 2),
+    SeriesTarget.D: lambda i: Fraction(2 * i + 1, 4 * (i + 1)),
+    SeriesTarget.AREA: lambda i: Fraction(-1, (2 * i - 1) * (i + 1)),
 }
 
 
 # i = 3000 is deeper than the interpreter's recursion limit
 @pytest.mark.parametrize("i", [*range(21), 3000])
 def test_K_coefficient_recurrence_matches_factorials(i):
-    assert K_SERIES.coeff(i) == _exact_dblfact_ratio_sq(i) / 2
+    assert SeriesTarget.K.coeff(i) == _exact_dblfact_ratio_sq(i) / 2
 
 
-@pytest.mark.parametrize("target", [E_SERIES, D_SERIES, AREA_SERIES], ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "target", [SeriesTarget.E, SeriesTarget.D, SeriesTarget.AREA], ids=lambda t: t.value
+)
 @pytest.mark.parametrize("i", [*range(21), 3000])
 def test_coefficient_recurrence_matches_factorials(target, i):
     assert target.coeff(i) == _exact_dblfact_ratio_sq(i) * _FACTORIAL_FORMS[target](i)
 
 
 def test_spot_coefficients():
-    assert K_SERIES.coeff(2) == Fraction(9, 128)
-    assert D_SERIES.coeff(3) == Fraction(175, 4096)
-    assert abs(AREA_SERIES.coeff(5)) == Fraction(147, 131072)
-    assert AREA_SERIES.coeff(5) < 0  # negative in the sum
+    assert SeriesTarget.K.coeff(2) == Fraction(9, 128)
+    assert SeriesTarget.D.coeff(3) == Fraction(175, 4096)
+    assert abs(SeriesTarget.AREA.coeff(5)) == Fraction(147, 131072)
+    assert SeriesTarget.AREA.coeff(5) < 0  # negative in the sum
     # constant terms
-    assert K_SERIES.coeff(0) == Fraction(1, 2)
-    assert E_SERIES.coeff(0) == Fraction(1, 2)
-    assert D_SERIES.coeff(0) == Fraction(1, 4)
-    assert AREA_SERIES.coeff(0) == Fraction(1)
+    assert SeriesTarget.K.coeff(0) == Fraction(1, 2)
+    assert SeriesTarget.E.coeff(0) == Fraction(1, 2)
+    assert SeriesTarget.D.coeff(0) == Fraction(1, 4)
+    assert SeriesTarget.AREA.coeff(0) == Fraction(1)
 
 
 def test_series_eval_constant_term_only():
-    assert series_eval(K_SERIES, 0.0, 1e-3) == pytest.approx(math.pi / 2, abs=1e-16)
+    assert series_eval(SeriesTarget.K, 0.0, 1e-3) == pytest.approx(math.pi / 2, abs=1e-16)
 
 
 def test_series_E_endpoint():
     # terms shrink like 1/(4 pi i^2) at x = 1, so a term cutoff of tol
     # leaves a tail near sqrt(tol)/4; tightening tol must shrink the error
-    value = series_eval(E_SERIES, 1.0, tol=1e-10)
+    value = series_eval(SeriesTarget.E, 1.0, tol=1e-10)
     assert abs(value - 1.0) < 1e-4
-    tighter = series_eval(E_SERIES, 1.0, tol=1e-12)
+    tighter = series_eval(SeriesTarget.E, 1.0, tol=1e-12)
     assert abs(tighter - 1.0) < abs(value - 1.0)
 
 
 def test_series_area_cross_method():
     # series at k = 0.5 against the closed form through K and E
     k = 0.5
-    closed = target_value(AREA_SERIES, k)
-    assert abs(series_eval(AREA_SERIES, k, 1e-14) - closed) < 1e-12
+    closed = target_value(SeriesTarget.AREA, k)
+    assert abs(series_eval(SeriesTarget.AREA, k, 1e-14) - closed) < 1e-12
 
 
 def test_K_series_diverges_at_one():
     # partial sums grow without bound, but only logarithmically:
     # S_N ~ pi/2 + (ln N)/2, so 1e6 terms reaches ~8.6
-    s4 = series_partial(K_SERIES, 1.0, 10**4)
-    s6 = series_partial(K_SERIES, 1.0, 10**6)
+    s4 = series_partial(SeriesTarget.K, 1.0, 10**4)
+    s6 = series_partial(SeriesTarget.K, 1.0, 10**6)
     assert s6 > s4 > 5.0
     assert s6 > 8.0
 
 
 def test_series_domain_errors():
     with pytest.raises(DomainError):
-        series_eval(K_SERIES, 1.0, 1e-10)
+        series_eval(SeriesTarget.K, 1.0, 1e-10)
     with pytest.raises(DomainError):
-        series_eval(E_SERIES, 1.5, 1e-10)
+        series_eval(SeriesTarget.E, 1.5, 1e-10)
 
 
 def test_series_rejects_a_tolerance_that_is_not_positive(monkeypatch):
@@ -197,7 +197,7 @@ def test_series_rejects_a_tolerance_that_is_not_positive(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_float_terms", no_terms)
     for tol in (math.nan, 0.0, -0.0, -1e-14, -math.inf):
-        for target in (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES):
+        for target in SeriesTarget:
             with pytest.raises(ValueError, match="tol must be positive"):
                 series_sum(target, 0.5, tol)
             with pytest.raises(ValueError, match="tol must be positive"):
@@ -206,11 +206,42 @@ def test_series_rejects_a_tolerance_that_is_not_positive(monkeypatch):
 
 def test_series_targets_are_one_enum():
     assert [t.value for t in SeriesTarget] == ["K", "E", "D", "Area"]
-    assert (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES) == tuple(SeriesTarget)
-    assert K_SERIES is SeriesTarget.K and AREA_SERIES is SeriesTarget("Area")
     assert [t.value_at_one for t in SeriesTarget] == [None, 1, None, Fraction(8, 3)]
-    assert AREA_SERIES.coeff(1) == Fraction(-1, 8)
+    assert SeriesTarget.AREA.coeff(1) == Fraction(-1, 8)
     assert not hasattr(elliptic, "SeriesKind")
+    # each member has one name: no module-level alias beside the enum
+    for target in SeriesTarget:
+        assert not hasattr(hugelschaffer, f"{target.name}_SERIES")
+        assert not hasattr(elliptic, f"{target.name}_SERIES")
+    # the endpoint value is the closed form's value at 1
+    for target in (SeriesTarget.E, SeriesTarget.AREA):
+        assert float(target.value_at_one) == target_value(target, 1.0)
+
+
+@pytest.mark.parametrize("target", list(SeriesTarget), ids=lambda t: t.value)
+def test_coefficients_past_the_first_have_the_sign_of_c1(target):
+    # verify_chain reads which side the first kind lies on from c_1 alone
+    c = target.coeffs(201)
+    assert all(ci != 0 and (ci > 0) == (c[1] > 0) for ci in c[1:])
+
+
+def test_series_and_first_kind_share_one_domain():
+    below_one = 1.0 - 2.0**-53
+    for target in SeriesTarget:
+        approx = first_taylor(target, 6)
+        for x in (1.0, -1.0, below_one, -below_one, 1.5, math.nan):
+            # tol 10 stops after two terms, so only the domain rule decides
+            accepted = []
+            for evaluate in (lambda: series_eval(target, x, 10.0),
+                             lambda: eval_approx(approx, x)):
+                try:
+                    evaluate()
+                    accepted.append(True)
+                except DomainError:
+                    accepted.append(False)
+            closed_at_one = target in (SeriesTarget.E, SeriesTarget.AREA)
+            expected = abs(x) == below_one or (abs(x) == 1.0 and closed_at_one)
+            assert accepted == [expected, expected], (target, x)
 
 
 def test_series_cap_is_an_error_not_a_truncated_sum(monkeypatch):
@@ -218,20 +249,20 @@ def test_series_cap_is_an_error_not_a_truncated_sum(monkeypatch):
     # terms; a cap before that must raise rather than return the sum
     monkeypatch.setattr(elliptic, "_MAX_SERIES_TERMS", 200)
     with pytest.raises(DomainError, match="did not reach tol"):
-        series_sum(K_SERIES, 0.999, 1e-15)
+        series_sum(SeriesTarget.K, 0.999, 1e-15)
     with pytest.raises(DomainError, match="did not reach tol"):
-        series_eval(K_SERIES, 0.999, 1e-15)
+        series_eval(SeriesTarget.K, 0.999, 1e-15)
     # a sum that converges within the cap is unchanged, and a partial sum
     # still adds exactly the terms asked for, past the cap
-    assert series_sum(K_SERIES, 0.5, 1e-15).terms_used < 200
+    assert series_sum(SeriesTarget.K, 0.5, 1e-15).terms_used < 200
     total = 0.0
-    for term in itertools.islice(elliptic._float_terms(K_SERIES, 0.999), 500):
+    for term in itertools.islice(elliptic._float_terms(SeriesTarget.K, 0.999), 500):
         total += term
-    assert series_partial(K_SERIES, 0.999, 500) == total
+    assert series_partial(SeriesTarget.K, 0.999, 500) == total
 
 
 def test_series_sum_reports_truncation():
-    result = series_sum(E_SERIES, 0.5, 1e-12)
+    result = series_sum(SeriesTarget.E, 0.5, 1e-12)
     assert abs(result.last_term) < 1e-12
     assert result.terms_used > 3
 
@@ -246,7 +277,7 @@ def test_scale_free_area_against_mpmath():
                 (1 - 1 / m) * mpmath.ellipk(m) + (1 + 1 / m) * mpmath.ellipe(m)
             )
             rel = float(abs((scale_free_area(k) - ref) / ref))
-        assert target_value(AREA_SERIES, k) == scale_free_area(k)
+        assert target_value(SeriesTarget.AREA, k) == scale_free_area(k)
         worst = max(worst, rel)
     assert worst <= 1e-15, worst
 
@@ -305,7 +336,7 @@ def test_agm_stops_within_ten_square_roots(monkeypatch):
 
 
 def test_series_sum_stops_at_the_first_small_term_after_the_first():
-    for target in (K_SERIES, E_SERIES, D_SERIES, AREA_SERIES):
+    for target in SeriesTarget:
         for x in (0.0, -0.5, 0.3, 0.9, 0.99):
             for tol in (1e-16, 1e-8, 10.0):
                 total, n = 0.0, 0

@@ -12,11 +12,8 @@ from fractions import Fraction
 import pytest
 
 from hugelschaffer.elliptic import (
-    AREA_SERIES,
-    D_SERIES,
     DomainError,
-    E_SERIES,
-    K_SERIES,
+    SeriesTarget,
     complete_K,
     target_value,
 )
@@ -41,7 +38,7 @@ FIRST_KIND_COEFFS = {
     "A": [F(1), F(-1, 8), F(-1, 64), F(-5, 1024), F(-35, 16384), F(-147, 131072)],
 }
 
-TARGETS = {"K": K_SERIES, "E": E_SERIES, "D": D_SERIES, "A": AREA_SERIES}
+TARGETS = dict(zip("KEDA", SeriesTarget))
 
 # (const, pi-multiple) of the endpoint correction at beta = 1, per degree
 SECOND_KIND_CORRECTIONS_E = {
@@ -94,28 +91,28 @@ def test_second_kind_correction_fixtures_exact(fixtures, name):
 
 def test_first_taylor_examples():
     # degree 4 of K: pi/2 + pi/8 x^2 + 9pi/128 x^4
-    k4 = first_taylor(K_SERIES, 4)
+    k4 = first_taylor(SeriesTarget.K, 4)
     assert [t.pi_coeff for t in k4.terms] == [F(1, 2), F(1, 8), F(9, 128)]
     # degree 1 of E is still the constant pi/2
-    e1 = first_taylor(E_SERIES, 1)
+    e1 = first_taylor(SeriesTarget.E, 1)
     assert [t.pi_coeff for t in e1.terms] == [F(1, 2)]
     # degree 10 of D, full row
-    d10 = first_taylor(D_SERIES, 10)
+    d10 = first_taylor(SeriesTarget.D, 10)
     assert [t.pi_coeff for t in d10.terms] == FIRST_KIND_COEFFS["D"]
 
 
 def test_second_taylor_examples():
     # constant approximation of E at beta = 1
-    e0 = second_taylor(E_SERIES, 0, 1.0)
+    e0 = second_taylor(SeriesTarget.E, 0, 1.0)
     assert eval_approx(e0, 0.3) == 1.0
     # degree 3 of E: pi/2 - pi/8 x^2 + (1 - 3pi/8) x^3
-    e3 = second_taylor(E_SERIES, 3, 1.0)
+    e3 = second_taylor(SeriesTarget.E, 3, 1.0)
     coeffs = e3.coefficients()
     assert coeffs[0] == pytest.approx(math.pi / 2)
     assert coeffs[2] == pytest.approx(-math.pi / 8)
     assert coeffs[3] == pytest.approx(1 - 3 * math.pi / 8)
     # degree 1 of K anchored at beta = 0.5 reproduces K(0.5)
-    k1 = second_taylor(K_SERIES, 1, 0.5)
+    k1 = second_taylor(SeriesTarget.K, 1, 0.5)
     assert eval_approx(k1, 0.5) == pytest.approx(complete_K(0.5), abs=1e-12)
 
 
@@ -140,10 +137,10 @@ def test_endpoint_interpolation(name, beta, n):
 
 
 def test_eval_examples():
-    assert eval_approx(first_taylor(K_SERIES, 2), 0.0) == pytest.approx(math.pi / 2)
-    assert eval_approx(second_taylor(E_SERIES, 3, 1.0), 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert eval_approx(first_taylor(SeriesTarget.K, 2), 0.0) == pytest.approx(math.pi / 2)
+    assert eval_approx(second_taylor(SeriesTarget.E, 3, 1.0), 1.0) == pytest.approx(1.0, abs=1e-12)
     # area truncation of degree 2 at the parabola endpoint: 7pi/8
-    assert eval_approx(first_taylor(AREA_SERIES, 2), 1.0) == pytest.approx(
+    assert eval_approx(first_taylor(SeriesTarget.AREA, 2), 1.0) == pytest.approx(
         7 * math.pi / 8
     )
 
@@ -151,7 +148,7 @@ def test_eval_examples():
 def test_approximations_are_immutable_and_round_trip():
     # the dense coefficients are summed once from the terms, so neither may
     # change after construction; copies rebuild them from the fields
-    approx = second_taylor(D_SERIES, 5, 0.9)
+    approx = second_taylor(SeriesTarget.D, 5, 0.9)
     for name in ("terms", "degree", "_dense"):
         with pytest.raises(AttributeError):
             setattr(approx, name, None)
@@ -164,41 +161,41 @@ def test_approximations_are_immutable_and_round_trip():
 
 
 def test_kind_is_whether_beta_is_set():
-    assert first_taylor(E_SERIES, 4).beta is None
-    assert second_taylor(E_SERIES, 4, 0.5).beta == 0.5
-    assert not hasattr(first_taylor(K_SERIES, 2), "kind")
+    assert first_taylor(SeriesTarget.E, 4).beta is None
+    assert second_taylor(SeriesTarget.E, 4, 0.5).beta == 0.5
+    assert not hasattr(first_taylor(SeriesTarget.K, 2), "kind")
     # the second kind is valid up to its beta, the first up to the radius
-    eval_approx(first_taylor(E_SERIES, 4), 0.75)
+    eval_approx(first_taylor(SeriesTarget.E, 4), 0.75)
     with pytest.raises(DomainError):
-        eval_approx(second_taylor(E_SERIES, 4, 0.5), 0.75)
+        eval_approx(second_taylor(SeriesTarget.E, 4, 0.5), 0.75)
 
 
 def test_degree_zero_second_kind_is_the_endpoint_value():
     # T_{-1} has no terms, so the correction at power 0 is f(beta) itself
-    assert second_taylor(E_SERIES, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(1)),)
-    assert second_taylor(AREA_SERIES, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(8, 3)),)
+    assert second_taylor(SeriesTarget.E, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(1)),)
+    assert second_taylor(SeriesTarget.AREA, 0, 1.0).terms == (PolyTerm(0, const_coeff=F(8, 3)),)
     for beta in (0.3, 0.9, 1.0):
-        approx = second_taylor(K_SERIES, 0, beta)
+        approx = second_taylor(SeriesTarget.K, 0, beta)
         assert approx.terms == (PolyTerm(0, float_coeff=complete_K(approx.beta)),)
         assert approx.coefficients() == [complete_K(approx.beta)]
 
 
 def test_beta_one_redirected_for_divergent_targets():
-    approx = second_taylor(K_SERIES, 2, 1.0)
+    approx = second_taylor(SeriesTarget.K, 2, 1.0)
     assert approx.beta == pytest.approx(0.999999)
     with pytest.raises(DomainError):
-        second_taylor(K_SERIES, 2, 1.2)
+        second_taylor(SeriesTarget.K, 2, 1.2)
     with pytest.raises(DomainError):
-        second_taylor(E_SERIES, 2, 1.0001)
+        second_taylor(SeriesTarget.E, 2, 1.0001)
 
 
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
-        eval_approx(first_taylor(K_SERIES, 4), 1.0)  # K has no endpoint value
+        eval_approx(first_taylor(SeriesTarget.K, 4), 1.0)  # K has no endpoint value
     with pytest.raises(DomainError):
-        eval_approx(second_taylor(E_SERIES, 3, 0.5), 0.6)
+        eval_approx(second_taylor(SeriesTarget.E, 3, 0.5), 0.6)
     # allowed: first-kind area polynomial at the closed endpoint
-    eval_approx(first_taylor(AREA_SERIES, 4), 1.0)
+    eval_approx(first_taylor(SeriesTarget.AREA, 4), 1.0)
 
 
 GRID_09 = [i / 10.0 for i in range(1, 10)]
@@ -219,20 +216,20 @@ def test_chains_hold(name, beta, grid):
 
 
 def test_chain_report_is_a_record(monkeypatch):
-    report = verify_chain(K_SERIES, 4, 0.9, [0.2, 0.4])
+    report = verify_chain(SeriesTarget.K, 4, 0.9, [0.2, 0.4])
     assert isinstance(report, ChainReport) and isinstance(report, tuple)
     assert (report.ok, report.violations, report.grid) == (True, (), (0.2, 0.4))
     with pytest.raises(AttributeError):
         report.ok = False
     # a slack below zero fails every comparison: ok follows the violations
     monkeypatch.setattr(taylor, "_CHAIN_SLACK", -1.0)
-    report = verify_chain(K_SERIES, 4, 0.9, [0.2, 0.4])
+    report = verify_chain(SeriesTarget.K, 4, 0.9, [0.2, 0.4])
     assert report.ok is False
     assert report.violations and {v.x for v in report.violations} == {0.2, 0.4}
 
 
 def test_chain_margins_shrink_with_degree():
-    report = verify_chain(E_SERIES, 10, 1.0, GRID_09)
+    report = verify_chain(SeriesTarget.E, 10, 1.0, GRID_09)
     for x in GRID_09:
         for margins in (report.first_margins[x], report.second_margins[x]):
             for lo, hi in zip(margins[1:], margins):
@@ -241,11 +238,11 @@ def test_chain_margins_shrink_with_degree():
 
 def test_chain_area_constant_second_is_endpoint_value():
     # the degree-0 endpoint-corrected approximant is the constant A(beta)
-    a0 = second_taylor(AREA_SERIES, 0, 1.0)
+    a0 = second_taylor(SeriesTarget.AREA, 0, 1.0)
     assert eval_approx(a0, 0.5) == pytest.approx(8.0 / 3.0)
 
 
-@pytest.mark.parametrize("target", [K_SERIES, E_SERIES, D_SERIES, AREA_SERIES])
+@pytest.mark.parametrize("target", list(SeriesTarget))
 @pytest.mark.parametrize("beta", [1.0, 0.9, 0.5])
 def test_one_pass_corrections_equal_the_per_degree_ones(target, beta):
     corrections = second_corrections(target, 40, beta)
@@ -258,8 +255,8 @@ def test_one_pass_corrections_equal_the_per_degree_ones(target, beta):
 
 def test_chain_margins_equal_the_per_degree_evaluations():
     grid = [0.1 * i for i in range(1, 10)] + [0.95]
-    for target, beta in ((K_SERIES, 0.95), (D_SERIES, 0.95), (E_SERIES, 1.0),
-                         (AREA_SERIES, 1.0), (AREA_SERIES, 0.95), (E_SERIES, 0.97)):
+    K, E, D, A = SeriesTarget
+    for target, beta in ((K, 0.95), (D, 0.95), (E, 1.0), (A, 1.0), (A, 0.95), (E, 0.97)):
         report = verify_chain(target, 12, beta, grid)
         for x in grid:
             f = target_value(target, x)
@@ -275,10 +272,10 @@ def test_underflowing_beta_power_is_a_domain_error():
 
     # 0.5**1100 underflows to 0, so the correction cannot be scaled
     with pytest.raises(DomainError, match=r"degree 1100 at beta=0\.5"):
-        second_taylor(K_SERIES, 1100, 0.5)
+        second_taylor(SeriesTarget.K, 1100, 0.5)
     with pytest.raises(DomainError, match=r"degree 1100 at beta=0\.5"):
         area_taylor(CurveParams(1, 1, 0.25), 1100, 0.5)
     with pytest.raises(DomainError, match="underflows"):
-        second_corrections(E_SERIES, 3, 1e-320)
+        second_corrections(SeriesTarget.E, 3, 1e-320)
     # a subnormal power is still a number
-    assert math.isfinite(second_taylor(K_SERIES, 1070, 0.5).terms[-1].float_coeff)
+    assert math.isfinite(second_taylor(SeriesTarget.K, 1070, 0.5).terms[-1].float_coeff)
