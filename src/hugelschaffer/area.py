@@ -24,7 +24,6 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from . import oracle, taylor
 from .curve import CurveParams, _q_and_k
 from .elliptic import (
     DomainError,
@@ -106,6 +105,8 @@ def check_J_relations(k: float) -> dict[str, float]:
 
     Returns the absolute deviations from J1 = -1/3, J2 = I2, J3 = I3.
     """
+    from . import oracle
+
     if not (0.0 < k < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {k!r}")
     k2 = k * k
@@ -182,6 +183,8 @@ def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> fl
     With ``beta`` None this is the first kind, an upper bound; with a
     ``beta`` it is the second kind anchored there, a lower bound.
     """
+    from . import taylor
+
     scale, k = _scale_and_k(params)
     if beta is None:
         approx = taylor.first_taylor(SeriesTarget.AREA, n)
@@ -251,9 +254,11 @@ def _inv_pi_sum(N: int) -> tuple[float, float]:
     # own loop: the shared series generator is about 2x slower and shifts last_term by an ulp
     r = 1.0
     acc = 0.0
-    for i in range(1, N + 1):
-        r *= ((2 * i - 1) / (2 * i)) ** 2
-        acc += r / ((2 * i - 1) * (i + 1))
+    # 2i - 1, 2i and i + 1 for i = 1..N, counted rather than formed
+    terms = zip(range(1, 2 * N, 2), range(2, 2 * N + 1, 2), range(2, N + 2))
+    for odd, even, succ in terms:
+        r *= (odd / even) ** 2
+        acc += r / (odd * succ)
     return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 
 

@@ -18,18 +18,15 @@ import io
 import json
 import math
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Optional
 
 from . import area as area_mod
 from . import curve as curve_mod
-from . import oracle as oracle_mod
-from . import taylor as taylor_mod
 from .elliptic import DomainError, SeriesTarget, series_eval, target_value
 
-# 30-digit reference used for the pi-series error column.
-PI_30 = Decimal("3.14159265358979323846264338328")
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the --target letter of each member, in member order
 _TARGETS = dict(zip("KEDA", SeriesTarget))
@@ -67,10 +64,24 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_csv(rows) -> None:
-    """One line of comma-joined text fields per row; no field the CLI
-    writes holds a comma, a quote or a line break, so none is quoted."""
-    sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
+def _emit_csv(header: list[str], rows: list[tuple]) -> None:
+    """The header, then one line of comma-joined fields per row.
+
+    Each row holds the types of the first: a float is written as ``_fmt``
+    writes it, anything else with ``str``, all through one ``%`` template.
+    No field the CLI writes holds a comma, a quote or a line break, so
+    none is quoted.
+    """
+    first = rows[0]
+    flat = tuple(chain.from_iterable(rows))
+    width = len(first)
+    for i, v in enumerate(first):
+        if isinstance(v, float) and not all(map(math.isfinite, flat[i::width])):
+            # the first in row order, the one a row-by-row writer would meet
+            bad = next(x for x in flat if isinstance(x, float) and not math.isfinite(x))
+            raise ArithmeticError(f"result is not finite ({bad!r})")
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    sys.stdout.write(",".join(header) + "\n" + (line * len(rows)) % flat)
 
 
 def _text(v: object) -> str:
@@ -81,7 +92,7 @@ def _emit_kv(pairs: list[tuple[str, object]], fmt: str) -> None:
     if fmt == "json":
         _emit_json(dict(pairs))
     elif fmt == "csv":
-        _emit_csv([[k for k, _ in pairs], [_text(v) for _, v in pairs]])
+        _emit_csv([k for k, _ in pairs], [tuple(v for _, v in pairs)])
     else:
         for k, v in pairs:
             sys.stdout.write(f"{k} = {_text(v)}\n")
@@ -189,12 +200,13 @@ def cmd_sample(args) -> int:
         _emit_json(payload)
         return 0
 
-    rows = ([_fmt(t), _fmt(p.x), _fmt(p.y)] for t, p in zip(ts, points))
-    _emit_csv([["t", "x", "y"], *rows])
+    _emit_csv(["t", "x", "y"], [(t, x, y) for t, (x, y) in zip(ts, points)])
     return 0
 
 
 def cmd_approx_table(args) -> int:
+    from . import taylor as taylor_mod
+
     target = _TARGETS[args.target]
     n = args.max_degree
     first = taylor_mod.first_taylor(target, n)
@@ -202,7 +214,7 @@ def cmd_approx_table(args) -> int:
     beta_eff = second.beta
 
     coeff_dump = [
-        (f"x^{t.power}", _rational_pi_str(t.pi_coeff, Fraction(0))) for t in first.terms
+        (f"x^{t.power}", _rational_pi_str(t.pi_coeff, 0)) for t in first.terms
     ]
     corrections = [
         _rational_pi_str(c.pi_coeff, c.const_coeff) if c.is_exact() else _fmt(c.value())
@@ -235,7 +247,7 @@ def cmd_approx_table(args) -> int:
         )
         return 0
     if args.format == "csv":
-        _emit_csv([header, *([_fmt(v) for v in row] for row in rows)])
+        _emit_csv(header, rows)
         return 0
     sys.stdout.write(f"target {args.target}, degree {n}, beta {_fmt(beta_eff)}\n")
     sys.stdout.write("series coefficients:\n")
@@ -251,10 +263,13 @@ def cmd_approx_table(args) -> int:
 
 
 def cmd_pi_series(args) -> int:
+    from decimal import Decimal, localcontext
+
     partial, last_term = area_mod._inv_pi_sum(args.terms)
+    pi_30 = Decimal("3.14159265358979323846264338328")  # reference for the error
     with localcontext() as ctx:
         ctx.prec = 40
-        abs_error = abs(Decimal(repr(partial)) - 1 / PI_30)
+        abs_error = abs(Decimal(repr(partial)) - 1 / pi_30)
     pairs = [
         ("terms", args.terms),
         ("partial_sum", partial),
@@ -272,7 +287,10 @@ def cmd_pi_series(args) -> int:
 def _verification_checks() -> list[tuple[str, float, float]]:
     """(name, margin, tolerance) triples; a check passes iff margin <= tol."""
     import random
+    from fractions import Fraction
 
+    from . import oracle as oracle_mod
+    from . import taylor as taylor_mod
     from .elliptic import complete_E, complete_K
 
     checks: list[tuple[str, float, float]] = []

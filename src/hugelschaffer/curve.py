@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CurveParams",
@@ -147,6 +149,8 @@ def q_unification_residual(a: Fraction, b: Fraction, w: Fraction) -> Fraction:
     Zero iff the q-unified cubic is proportional to the original one,
     which holds for q chosen per the unification rule.
     """
+    from fractions import Fraction
+
     del b  # the residual does not involve b
     q = Fraction(1) if w < a else Fraction(a, w)
     q2 = q * q

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DomainError",
@@ -71,16 +73,23 @@ class SeriesTarget(Enum):
     @property
     def value_at_one(self) -> Optional[Fraction]:
         """Exact endpoint value where the series converges at x = 1."""
-        return _SERIES[self].value_at_one
+        from fractions import Fraction
+
+        pair = _SERIES[self].value_at_one
+        return None if pair is None else Fraction(*pair)
 
     def check_domain(self, x: float) -> None:
         """Raise ``DomainError`` unless the series converges at x: |x| < 1,
         or |x| = 1 where the target has a value there."""
-        if not (abs(x) < 1.0 or (abs(x) == 1.0 and self.value_at_one is not None)):
+        if not (
+            abs(x) < 1.0 or (abs(x) == 1.0 and _SERIES[self].value_at_one is not None)
+        ):
             raise DomainError(f"series for {self.value} does not converge at x={x!r}")
 
     def coeffs(self, m: int) -> list[Fraction]:
         """Signed rational multipliers of pi * x^(2i) for i = 0 .. m-1."""
+        from fractions import Fraction
+
         multiplier = _SERIES[self].multiplier
         out = []
         r = Fraction(1)  # ((2i-1)!!/(2i)!!)^2
@@ -264,21 +273,22 @@ def scale_free_area(k: float) -> float:
 
 class _Series(NamedTuple):
     """One series target: the (num(i), den(i)) of its multiplier
-    r_i * num(i) / den(i), its exact value at x = 1 (None where the series
-    diverges there) and its closed form."""
+    r_i * num(i) / den(i), its exact value at x = 1 as (numerator,
+    denominator) (None where the series diverges there) and its closed
+    form."""
 
     multiplier: Callable[[int], tuple[int, int]]
-    value_at_one: Optional[Fraction]
+    value_at_one: Optional[tuple[int, int]]
     closed_form: Callable[[float], float]
 
 
 # Every multiplier holds at i = 0 as written (E: 1/2, D: 1/4, area: 1).
 _SERIES: dict[SeriesTarget, _Series] = {
     SeriesTarget.K: _Series(lambda i: (1, 2), None, complete_K),
-    SeriesTarget.E: _Series(lambda i: (-1, 4 * i - 2), Fraction(1), complete_E),
+    SeriesTarget.E: _Series(lambda i: (-1, 4 * i - 2), (1, 1), complete_E),
     SeriesTarget.D: _Series(lambda i: (2 * i + 1, 4 * i + 4), None, complete_D),
     SeriesTarget.AREA: _Series(
-        lambda i: (-1, (2 * i - 1) * (i + 1)), Fraction(8, 3), scale_free_area
+        lambda i: (-1, (2 * i - 1) * (i + 1)), (8, 3), scale_free_area
     ),
 }
 

@@ -171,7 +171,7 @@ def _horner(coeffs: Sequence[float], x: float) -> float:
 def eval_approx(approx: TaylorApprox, x: float) -> float:
     """Evaluate the polynomial at x (Horner), with domain checks."""
     if approx.beta is not None:
-        if abs(x) > approx.beta:
+        if not abs(x) <= approx.beta:  # written so that NaN fails it
             raise DomainError(
                 f"second approximation valid on [-{approx.beta}, {approx.beta}], got {x!r}"
             )

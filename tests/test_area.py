@@ -9,6 +9,7 @@ import pytest
 
 from hugelschaffer import elliptic
 from hugelschaffer.area import (
+    _inv_pi_sum,
     area_exact,
     area_series,
     area_series_partial,
@@ -303,6 +304,20 @@ class TestInvPi:
     def test_validation(self):
         with pytest.raises(ValueError):
             inv_pi_partial(0)
+
+    def test_counted_loop_equals_the_per_index_one(self):
+        # the loop as written per index i, before its factors were counted
+        def reference(N):
+            r = 1.0
+            acc = 0.0
+            for i in range(1, N + 1):
+                r *= ((2 * i - 1) / (2 * i)) ** 2
+                acc += r / ((2 * i - 1) * (i + 1))
+            return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
+
+        for n in (1, 2, 3, 100, 12345, 10**5):
+            got, want = _inv_pi_sum(n), reference(n)
+            assert [v.hex() for v in got] == [v.hex() for v in want], n
 
 
 def test_scale_limits():

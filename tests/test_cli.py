@@ -3,6 +3,7 @@
 import decimal
 import json
 import math
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -274,6 +275,78 @@ def test_import_leaves_numpy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+_DEFERRED = ("hugelschaffer.taylor", "hugelschaffer.oracle", "fractions", "decimal")
+
+
+def _deferred_loaded_by(*argv):
+    """The modules of ``_DEFERRED`` in ``sys.modules`` after ``cli.main``
+    runs ``argv`` in a fresh interpreter (which must exit 0)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hugelschaffer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        f"print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    egg = ("--a", "4", "--b", "3", "--w", "2")
+    assert _deferred_loaded_by("area", *egg) == []
+    assert _deferred_loaded_by("bounds", *egg) == []
+    assert _deferred_loaded_by("sample", *egg, "--n", "9") == []
+    loaded = _deferred_loaded_by("approx-table", "--target", "K")
+    assert "hugelschaffer.taylor" in loaded and "hugelschaffer.oracle" not in loaded
+    assert _deferred_loaded_by("pi-series", "--terms", "10") == ["decimal"]
+    assert _deferred_loaded_by("verify") == list(_DEFERRED)
+
+
+def _joined_csv(header, rows):
+    # the writer _emit_csv replaced: each field formatted on its own, then joined
+    def text(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    lines = [header, *([text(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def test_csv_template_writes_what_field_by_field_formatting_did(capsys):
+    rng = random.Random(7)
+    floats = [0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, -1.0 / 3.0, 1e16,
+              2.0**53 + 2.0, 0.1, 123456789.125, math.pi]
+    floats += [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-300, 300) for _ in range(300)]
+    header = ["x", "neg", "i", "flag", "name"]
+    rows = [(x, -x, i - 5, i % 3 == 0, f"s{i}") for i, x in enumerate(floats)]
+    pairs = [("total", 36.480959716149556), ("terms", 12345), ("ok", True), ("method", "exact")]
+    for head, body in ((header, rows), ([k for k, _ in pairs], [tuple(v for _, v in pairs)])):
+        cli._emit_csv(head, body)
+        assert capsys.readouterr().out == _joined_csv(head, body)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_csv_field_is_an_error(monkeypatch, capsys, bad):
+    real_sample_egg = cli.curve_mod.sample_egg
+
+    def sample_egg(params, ts):
+        points = real_sample_egg(params, ts)
+        points[3] = points[3]._replace(y=bad)
+        return points
+
+    monkeypatch.setattr(cli.curve_mod, "sample_egg", sample_egg)
+    monkeypatch.setattr(cli.area_mod, "_inv_pi_sum", lambda n: (0.3, bad))
+    for argv in (
+        ["sample", "--a", "3", "--b", "2", "--w", "2", "--n", "9", "--format", "csv"],
+        ["pi-series", "--terms", "10", "--format", "csv"],
+    ):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: result is not finite ({bad!r})\n"
 
 
 def test_series_tolerance_not_positive_is_an_error():

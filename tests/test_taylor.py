@@ -279,3 +279,13 @@ def test_underflowing_beta_power_is_a_domain_error():
         second_corrections(SeriesTarget.E, 3, 1e-320)
     # a subnormal power is still a number
     assert math.isfinite(second_taylor(SeriesTarget.K, 1070, 0.5).terms[-1].float_coeff)
+
+
+def test_second_kind_rejects_nan():
+    # NaN fails every comparison, so a check written as "abs(x) > beta"
+    # lets it through; the first kind and series_eval already raise
+    for target in SeriesTarget:
+        approx = second_taylor(target, 3, 0.5)
+        with pytest.raises(DomainError):
+            eval_approx(approx, math.nan)
+        assert math.isfinite(eval_approx(approx, -0.5))
