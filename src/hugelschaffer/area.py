@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .curve import CurveParams, _q_and_k
@@ -254,10 +255,15 @@ def _inv_pi_sum(N: int) -> tuple[float, float]:
     # own loop: the shared series generator is about 2x slower and shifts last_term by an ulp
     r = 1.0
     acc = 0.0
-    # 2i - 1, 2i and i + 1 for i = 1..N, counted rather than formed
-    terms = zip(range(1, 2 * N, 2), range(2, 2 * N + 1, 2), range(2, N + 2))
-    for odd, even, succ in terms:
-        r *= (odd / even) ** 2
+    # 2i - 1 and i + 1 for i = 1..N, counted in floats: exact below 2**53,
+    # so each quotient and product rounds as it would from the integers
+    odd = -1.0
+    succ = 1.0
+    for _ in repeat(None, N):
+        odd += 2.0
+        succ += 1.0
+        # ** 2, not q * q: they differ first at i = 4797 and move the output from N = 180268
+        r *= (odd / (odd + 1.0)) ** 2
         acc += r / (odd * succ)
     return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 

@@ -151,9 +151,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _svg_path(points) -> str:
-    cmds = [f"M {_fmt(points[0].x)} {_fmt(-points[0].y)}"]
-    cmds += [f"L {_fmt(p.x)} {_fmt(-p.y)}" for p in points[1:]]
+def _svg_path(xs: list[float], ys: list[float]) -> str:
+    cmds = [f"M {_fmt(xs[0])} {_fmt(-ys[0])}"]
+    cmds += [f"L {_fmt(x)} {_fmt(-y)}" for x, y in zip(xs[1:], ys[1:])]
     return " ".join(cmds) + " Z"
 
 
@@ -161,7 +161,7 @@ def cmd_sample(args) -> int:
     params = _params(args)
     shape = curve_mod.derive(params)
     ts = curve_mod.sample_grid(args.n)
-    points = curve_mod.sample_egg(params, ts)
+    xs, ys = curve_mod.sample_egg(params, ts)
 
     if args.format == "svg":
         extent = max(params.a, shape.q * params.b)
@@ -171,7 +171,7 @@ def cmd_sample(args) -> int:
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'viewBox="{_fmt(-r)} {_fmt(-r)} {_fmt(2 * r)} {_fmt(2 * r)}">',
-            f'<path d="{_svg_path(points)}" fill="none" stroke="black" '
+            f'<path d="{_svg_path(xs, ys)}" fill="none" stroke="black" '
             f'stroke-width="{_fmt(extent / 200.0)}"/>',
         ]
         if args.circles:
@@ -189,9 +189,7 @@ def cmd_sample(args) -> int:
 
     if args.format == "json":
         payload = {
-            "points": [
-                {"t": t, "x": p.x, "y": p.y} for t, p in zip(ts, points)
-            ]
+            "points": [{"t": t, "x": x, "y": y} for t, x, y in zip(ts, xs, ys)]
         }
         if args.circles:
             k1, k2 = curve_mod.construction_circles(params, ts)
@@ -200,7 +198,7 @@ def cmd_sample(args) -> int:
         _emit_json(payload)
         return 0
 
-    _emit_csv(["t", "x", "y"], [(t, x, y) for t, (x, y) in zip(ts, points)])
+    _emit_csv(["t", "x", "y"], list(zip(ts, xs, ys)))
     return 0
 
 

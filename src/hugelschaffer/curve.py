@@ -15,6 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
 __all__ = [
@@ -163,51 +164,68 @@ def point_at(params: CurveParams, t: float) -> PlanePoint:
     x(t) = -q^2 w sin^2 t + cos t * sqrt(a^2 - q^4 w^2 sin^2 t),
     y(t) = q b sin t.  The radicand is nonnegative for k <= 1.
     """
-    return _point(*_point_terms(params), t)
+    xs, ys = _columns(params, (t,))
+    return PlanePoint(xs[0], ys[0])
 
 
-def _point_terms(params: CurveParams) -> tuple[float, float, float, float, float]:
-    """q^2 w, q b, the power of two ``unit`` with a/unit in [1, 2), and
-    a and q^2 w divided by ``unit``.
+def _columns(params: CurveParams, ts: Iterable[float]) -> tuple[list[float], list[float]]:
+    """The x and the y of the egg point at each t of ``ts``, in one loop.
 
-    The radicand is formed from the scaled pair, so a^2 cannot overflow or
-    underflow; since q^2 w <= a, the scaled q^2 w is below 2.  Scaling by
-    a power of two rounds the same way, and the root of the scaled
-    radicand times ``unit`` is the unscaled root, exactly.
+    The radicand is formed from a and q^2 w scaled by ``unit``, the power
+    of two with a/unit in [1, 2), so a^2 cannot overflow or underflow;
+    since q^2 w <= a, the scaled q^2 w is below 2.  Scaling by a power of
+    two rounds the same way, and the root of the scaled radicand times
+    ``unit`` is the unscaled root, exactly.
     """
     a = params.a
     shape = derive(params)
     q2w = -shape.u
+    qb = shape.q * params.b
     e = math.frexp(a)[1] - 1
-    return q2w, shape.q * params.b, math.ldexp(1.0, e), math.ldexp(a, -e), math.ldexp(q2w, -e)
+    unit = math.ldexp(1.0, e)
+    a_s, q2w_s = math.ldexp(a, -e), math.ldexp(q2w, -e)
+    a2, p2, neg_q2w = a_s * a_s, q2w_s * q2w_s, -q2w
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    xs: list[float] = []
+    ys: list[float] = []
+    x_append, y_append = xs.append, ys.append
+    for t in ts:
+        s = sin(t)
+        radicand = a2 - p2 * s * s
+        # max(radicand, 0.0) without the call; it keeps a -0.0 radicand too
+        root = sqrt(0.0 if 0.0 > radicand else radicand)
+        x_append(neg_q2w * s * s + cos(t) * (root * unit))
+        y_append(qb * s)
+    return xs, ys
 
 
-def _point(
-    q2w: float, qb: float, unit: float, a_s: float, q2w_s: float, t: float
-) -> PlanePoint:
-    s, c = math.sin(t), math.cos(t)
-    radicand = a_s * a_s - q2w_s * q2w_s * s * s
-    root = math.sqrt(max(radicand, 0.0)) * unit
-    return PlanePoint(-q2w * s * s + c * root, qb * s)
+_TWO_PI = 2.0 * math.pi
 
 
 def sample_grid(n: int) -> list[float]:
     """The n parameters t_j = 2*pi*j/(n - 1), j = 0..n-1, of a closed sample."""
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    return [2.0 * math.pi * j / (n - 1) for j in range(n)]
+    two_pi, d = _TWO_PI, n - 1
+    return [two_pi * j / d for j in range(n)]
 
 
-def sample_egg(params: CurveParams, ts: list[float]) -> list[PlanePoint]:
-    """The egg point at each t of ``ts``, a ``sample_grid``.
+def sample_egg(params: CurveParams, ts: list[float]) -> tuple[list[float], list[float]]:
+    """The columns ``(xs, ys)`` of the egg point at each t of ``ts``.
 
-    The grid ends at t = 2*pi, so the last point repeats the first and
-    closes the egg exactly at (a, 0).
+    ``ts`` is a closed grid such as ``sample_grid`` gives: at least two
+    values, the first 0 and the last within one ulp of 2*pi.  The last
+    point repeats the first, closing the egg exactly at (a, 0).  Any
+    other ``ts`` is a ``ValueError``.
     """
-    q2w, qb, unit, a_s, q2w_s = _point_terms(params)
-    points = [_point(q2w, qb, unit, a_s, q2w_s, t) for t in ts[:-1]]
-    points.append(points[0])  # exact closure at t = 2*pi
-    return points
+    if len(ts) < 2:
+        raise ValueError("need at least 2 sample points")
+    if ts[0] != 0.0 or not abs(ts[-1] - _TWO_PI) <= math.ulp(_TWO_PI):
+        raise ValueError("the sample parameters must run from 0 to 2*pi")
+    xs, ys = _columns(params, ts[:-1])
+    xs.append(xs[0])  # exact closure at t = 2*pi
+    ys.append(ys[0])
+    return xs, ys
 
 
 def construction_circles(

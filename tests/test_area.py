@@ -315,7 +315,8 @@ class TestInvPi:
                 acc += r / ((2 * i - 1) * (i + 1))
             return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 
-        for n in (1, 2, 3, 100, 12345, 10**5):
+        # from N = 180268 on, q * q in place of q ** 2 would move the output
+        for n in (1, 2, 3, 100, 12345, 10**5, 180268, 10**6):
             got, want = _inv_pi_sum(n), reference(n)
             assert [v.hex() for v in got] == [v.hex() for v in want], n
 

@@ -333,9 +333,9 @@ def test_non_finite_csv_field_is_an_error(monkeypatch, capsys, bad):
     real_sample_egg = cli.curve_mod.sample_egg
 
     def sample_egg(params, ts):
-        points = real_sample_egg(params, ts)
-        points[3] = points[3]._replace(y=bad)
-        return points
+        xs, ys = real_sample_egg(params, ts)
+        ys[3] = bad
+        return xs, ys
 
     monkeypatch.setattr(cli.curve_mod, "sample_egg", sample_egg)
     monkeypatch.setattr(cli.area_mod, "_inv_pi_sum", lambda n: (0.3, bad))

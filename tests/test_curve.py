@@ -127,22 +127,58 @@ def test_point_at_anchor_points():
 
 def test_sample_egg_closure_and_quarter_points():
     p = CurveParams(3, 2, 2)
-    two = sample_egg(p, sample_grid(2))
-    assert two[0] == two[1] == (3.0, 0.0)
-    five = sample_egg(p, sample_grid(5))
-    assert five[1] == pytest.approx((-2.0, 2.0), abs=1e-14)  # t = pi/2
-    assert five[3] == pytest.approx((-2.0, -2.0), abs=1e-14)  # t = 3pi/2
+    xs, ys = sample_egg(p, sample_grid(2))
+    assert (xs[0], ys[0]) == (xs[1], ys[1]) == (3.0, 0.0)
+    xs, ys = sample_egg(p, sample_grid(5))
+    assert (xs[1], ys[1]) == pytest.approx((-2.0, 2.0), abs=1e-14)  # t = pi/2
+    assert (xs[3], ys[3]) == pytest.approx((-2.0, -2.0), abs=1e-14)  # t = 3pi/2
     # every point but the closing one is the point at its own t
     ts = sample_grid(9)
-    assert sample_egg(p, ts)[:-1] == [point_at(p, t) for t in ts[:-1]]
+    xs, ys = sample_egg(p, ts)
+    assert list(zip(xs, ys))[:-1] == [point_at(p, t) for t in ts[:-1]]
 
 
 def test_samples_satisfy_implicit_equation():
     for params in (CurveParams(3, 2, 2), CurveParams(2, 2, 4), CurveParams(2, 1, 2)):
         q = derive(params).q
         scale = params.a**2 * params.b**2 * q * q
-        for point in sample_egg(params, sample_grid(101)):
-            assert abs(implicit_Fq(params, point)) <= 1e-9 * scale
+        for x, y in zip(*sample_egg(params, sample_grid(101))):
+            assert abs(implicit_Fq(params, PlanePoint(x, y))) <= 1e-9 * scale
+
+
+def test_sample_egg_columns_match_point_at_bit_for_bit():
+    for params in (CurveParams(4, 3, 2), CurveParams(1e150, 1e150, 5e149), CurveParams(2, 2, 2)):
+        ts = sample_grid(1000)
+        xs, ys = sample_egg(params, ts)
+        assert len(xs) == len(ys) == len(ts)
+        for t, x, y in zip(ts[:-1], xs, ys):
+            px, py = point_at(params, t)
+            assert (x.hex(), y.hex()) == (px.hex(), py.hex()), t
+        assert (xs[-1], ys[-1]) == (xs[0], ys[0]) == (params.a, 0.0)
+
+
+def test_sample_egg_rejects_a_grid_it_would_get_wrong():
+    p = CurveParams(3, 2, 2)
+    # an open grid would be "closed" at (a, 0) where the egg is not
+    for ts in ([0.0, 0.5, 1.0], [], [1.0], [0.0], [0.1, math.pi, 2.0 * math.pi],
+               [math.nan, 2.0 * math.pi], [0.0, math.nan], [0.0, 4.0 * math.pi]):
+        with pytest.raises(ValueError):
+            sample_egg(p, ts)
+    two_pi = 2.0 * math.pi
+    for end in (math.nextafter(two_pi, 0.0), two_pi, math.nextafter(two_pi, 7.0)):
+        xs, ys = sample_egg(p, [0.0, math.pi, end])
+        assert (xs[-1], ys[-1]) == (3.0, 0.0)
+    for end in (math.nextafter(math.nextafter(two_pi, 0.0), 0.0),
+                math.nextafter(math.nextafter(two_pi, 7.0), 7.0)):
+        with pytest.raises(ValueError):
+            sample_egg(p, [0.0, math.pi, end])
+
+
+def test_sample_grid_ends_within_one_ulp_of_two_pi():
+    two_pi = 2.0 * math.pi
+    ends = {sample_grid(n)[-1] for n in range(2, 2000)}
+    assert two_pi in ends and math.nextafter(two_pi, 0.0) in ends  # n = 12 is one below
+    assert all(abs(end - two_pi) <= math.ulp(two_pi) for end in ends)
 
 
 def test_sample_grid():
