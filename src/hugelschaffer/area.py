@@ -133,15 +133,18 @@ def check_J_relations(k: float) -> dict[str, float]:
     }
 
 
-def _scale_and_k(params: CurveParams) -> tuple[float, float]:
-    """The scale a*b*q and the modulus k, with the scale checked.
+# Every area and bound is at most pi*scale, so for a scale in this range
+# each of them is a normal float.
+_MIN_SCALE = sys.float_info.min
+_MAX_SCALE = sys.float_info.max / 4
 
-    Every area and bound is at most pi*scale, so inside this range each
-    of them is a normal float.
-    """
-    q, k = _q_and_k(params.a, params.w)
-    scale = params.a * params.b * q
-    if not (sys.float_info.min <= scale <= sys.float_info.max / 4):
+
+def _scale_and_k(params: CurveParams) -> tuple[float, float]:
+    """The scale a*b*q and the modulus k, with the scale checked."""
+    a = params.a
+    q, k = _q_and_k(a, params.w)
+    scale = a * params.b * q
+    if not (_MIN_SCALE <= scale <= _MAX_SCALE):
         raise DomainError(
             f"area scale a*b*q = {scale!r} lies outside the normal floats"
         )
@@ -203,48 +206,50 @@ def bounds(params: CurveParams) -> BoundsCertificate:
     """
     scale, k = _scale_and_k(params)
     total = scale * scale_free_area(k)  # as in area_exact
+    pi = math.pi
 
     # The degree-1 approximant is written as 8/3 plus a nonnegative term,
     # so rounding cannot put it below the coarse bound; 1 - k is exact
     # for k >= 1/2.
     lower_coarse = scale * (8.0 / 3.0)
-    upper_coarse = math.pi * scale
-    lower_refined = scale * (8.0 / 3.0 + (math.pi - 8.0 / 3.0) * (1.0 - k))
+    upper_coarse = pi * scale
+    lower_refined = scale * (8.0 / 3.0 + (pi - 8.0 / 3.0) * (1.0 - k))
     # Horner on the degree-2 Maclaurin coefficients [pi, 0, -pi/8]
-    upper_refined = scale * (math.pi - (math.pi / 8.0) * k * k)
+    upper_refined = scale * (pi - (pi / 8.0) * k * k)
 
-    delta = scale * (math.pi - 8.0 / 3.0) * (1.0 - k)
-    nabla = (math.pi / 8.0) * scale * k * k
-    delta_printed = scale * math.pi * (1.0 - k)
+    delta = scale * (pi - 8.0 / 3.0) * (1.0 - k)
+    nabla = (pi / 8.0) * scale * k * k
+    delta_printed = scale * pi * (1.0 - k)
     a, b, w = params.a, params.b, params.w
     # The paper's pi b w^2/(8a) and pi a^4 b/(8w^3), evaluated on the
     # mantissas of a, b, w with their exponents summed apart: the margin
     # is at most pi*scale/8, but w^2, a^4 or w^3 alone may leave the floats.
-    ma, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    mw, ew = math.frexp(w)
+    frexp = math.frexp
+    ma, ea = frexp(a)
+    mb, eb = frexp(b)
+    mw, ew = frexp(w)
     if w < a:
         nabla_piecewise = math.ldexp(
-            math.pi * mb * mw * mw / (8.0 * ma), eb + 2 * ew - ea
+            pi * mb * mw * mw / (8.0 * ma), eb + 2 * ew - ea
         )
     elif w > a:
         nabla_piecewise = math.ldexp(
-            math.pi * ma * mb * (ma / mw) ** 3 / 8.0, 4 * ea + eb - 3 * ew
+            pi * ma * mb * (ma / mw) ** 3 / 8.0, 4 * ea + eb - 3 * ew
         )
     else:
-        nabla_piecewise = math.pi * scale / 8.0
+        nabla_piecewise = pi * scale / 8.0
 
     return BoundsCertificate(
-        lower_coarse=lower_coarse,
-        upper_coarse=upper_coarse,
-        lower_refined=lower_refined,
-        upper_refined=upper_refined,
-        delta=delta,
-        nabla=nabla,
-        delta_printed=delta_printed,
-        delta_printed_consistent=(lower_coarse + delta_printed) <= total,
-        nabla_piecewise=nabla_piecewise,
-        exact_total=total,
+        lower_coarse,
+        upper_coarse,
+        lower_refined,
+        upper_refined,
+        delta,
+        nabla,
+        delta_printed,
+        (lower_coarse + delta_printed) <= total,  # delta_printed_consistent
+        nabla_piecewise,
+        total,
     )
 
 

@@ -11,6 +11,7 @@ modulus k = q^2 w / a is the one shape parameter the area depends on.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -55,12 +56,14 @@ class CurveParams:
     w: float
 
     def __init__(self, a: float, b: float, w: float) -> None:
-        for name, v in (("a", a), ("b", b), ("w", w)):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"parameter {name} must be positive, got {v!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w", w)
+        # for a float, 0 < v <= max is v > 0 and finite; anything the range
+        # test turns away, an int past the largest float included, gets the
+        # full test
+        if not (0.0 < a <= _MAX and 0.0 < b <= _MAX and 0.0 < w <= _MAX):
+            _check_positive(a, b, w)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_w(self, w)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,6 +85,22 @@ class CurveParams:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.w))
+
+
+_MAX = sys.float_info.max
+
+# the slot setters, which the blocked __setattr__ does not reach
+_set_a = CurveParams.a.__set__
+_set_b = CurveParams.b.__set__
+_set_w = CurveParams.w.__set__
+
+
+def _check_positive(a: float, b: float, w: float) -> None:
+    """Raise ``ValueError`` naming the first of a, b, w that is not a
+    positive finite number."""
+    for name, v in (("a", a), ("b", b), ("w", w)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"parameter {name} must be positive, got {v!r}")
 
 
 class Regime(Enum):

@@ -260,8 +260,8 @@ def scale_free_area(k: float) -> float:
     (ellipse) and 8/3 at k = 1 (parabola plus line).  Above k = k', where
     K - D cancels, the equal form (4/3)(2E - k'^2 D) is used.
     """
-    _check_modulus(k, allow_one=True, name="area")
-    if k == 1.0:
+    if not 0.0 <= k < 1.0:
+        _check_modulus(k, allow_one=True, name="area")  # raises unless k == 1
         return 8.0 / 3.0
     kp = _complement(k)
     bigK, bigD = _agm(k, kp)

@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -33,12 +35,58 @@ def test_params_validation():
         CurveParams(1.0, 1.0, math.inf)
 
 
+def _positive_finite_reference(a, b, w):
+    """The parameter check as a per-name loop, to hold the range test to."""
+    for name, v in (("a", a), ("b", b), ("w", w)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"parameter {name} must be positive, got {v!r}")
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def test_params_contract():
     p = CurveParams(4.0, 3.0, 2.0)
     assert (p.a, p.b, p.w) == (4.0, 3.0, 2.0)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="parameter w must be positive"):
-            CurveParams(a=4.0, b=3.0, w=bad)
+    for name in ("a", "b", "w"):
+        for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf):
+            args = {"a": 4.0, "b": 3.0, "w": 2.0, name: bad}
+            message = f"parameter {name} must be positive, got {bad!r}"
+            with pytest.raises(ValueError) as info:
+                CurveParams(**args)
+            assert str(info.value) == message
+    # the first bad name is the one reported
+    with pytest.raises(ValueError, match="^parameter b must be positive"):
+        CurveParams(4.0, -3.0, math.nan)
+    # ints and fractions are kept as given
+    for args in ((4, 3, 2), (Fraction(4), Fraction(3, 2), Fraction(1, 3)), (1, 2.5, Fraction(7, 2))):
+        kept = CurveParams(*args)
+        assert (kept.a, kept.b, kept.w) == args
+        assert [type(v) for v in (kept.a, kept.b, kept.w)] == [type(v) for v in args]
+    # accepted and rejected exactly as the per-name loop does, at the ends
+    # of the float range and past it: an int that rounds to the largest
+    # float is accepted, one past it overflows
+    largest = int(sys.float_info.max)
+    values = (
+        5e-324, sys.float_info.max, 1.0, 0.0, -0.0, math.nan, math.inf,
+        1, 0, -1, True, False, largest, largest + 2**969, 2**1024, 10**400,
+        Fraction(1, 3), Fraction(0), Fraction(-1, 2), Fraction(largest), Fraction(10**400),
+        Decimal("1e400"), Decimal("Infinity"), Decimal("1e-400"),
+    )
+    for name in ("a", "b", "w"):
+        for v in values:
+            args = {"a": 4.0, "b": 3.0, "w": 2.0, name: v}
+            want = _outcome(_positive_finite_reference, *args.values())
+            assert _outcome(CurveParams, *args.values()) == want, (name, v)
+        for v in ("4", None, 4j):  # not ordered against a number
+            args = {"a": 4.0, "b": 3.0, "w": 2.0, name: v}
+            with pytest.raises(TypeError):
+                CurveParams(**args)
     # value equality and hash, but never equal to a tuple
     assert p == CurveParams(a=4.0, b=3.0, w=2.0)
     assert hash(p) == hash(CurveParams(4, 3, 2))

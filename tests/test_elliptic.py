@@ -329,10 +329,24 @@ def test_agm_stops_within_ten_square_roots(monkeypatch):
     namespace = types.SimpleNamespace(**vars(math))
     namespace.sqrt = counting_sqrt
     monkeypatch.setattr(elliptic, "math", namespace)
+    rounds_seen = 0
     for k in [0.0, 0.24, *GRID, *SMALL_K, *BULK_K, *NEAR_ONE_K]:
         calls = 0
         complete_K(k)
         assert calls <= 10, (k, calls)
+        if not 0.0 < k < 1.0:
+            continue
+        # the roots must be seen to be counted: k' takes one, and each AGM
+        # round one more; the pass stops at once only where k' rounds to
+        # within an ulp of 1, which takes k below about 2e-8
+        assert calls >= 1, k
+        kp = elliptic._complement(k)
+        calls = 0
+        elliptic._agm(k, kp)
+        if k >= 1e-7:
+            assert calls >= 1, k
+            rounds_seen += 1
+    assert rounds_seen > 200
 
 
 def test_series_sum_stops_at_the_first_small_term_after_the_first():
