@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # each submodule and the names the package exports from it
 _EXPORTS = {
     "curve": (
-        "CurveParams DerivedShape PlanePoint Regime construction_circles derive "
+        "CurveParams DerivedShape PlanePoint construction_circles derive "
         "implicit_F implicit_Fq point_at q_unification_residual sample_egg sample_grid"
     ),
     "elliptic": (

@@ -160,8 +160,7 @@ def _svg_path(xs: list[float], ys: list[float]) -> str:
 def cmd_sample(args) -> int:
     params = _params(args)
     shape = curve_mod.derive(params)
-    ts = curve_mod.sample_grid(args.n)
-    xs, ys = curve_mod.sample_egg(params, ts)
+    ts, xs, ys = curve_mod.sample_egg(params, args.n)
 
     if args.format == "svg":
         extent = max(params.a, shape.q * params.b)

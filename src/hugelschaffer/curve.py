@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -21,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CurveParams",
-    "Regime",
     "DerivedShape",
     "PlanePoint",
     "derive",
@@ -99,14 +97,10 @@ def _check_positive(a: float, b: float, w: float) -> None:
     """Raise ``ValueError`` naming the first of a, b, w that is not a
     positive finite number."""
     for name, v in (("a", a), ("b", b), ("w", w)):
-        if not (v > 0 and math.isfinite(v)):
+        if -math.inf < v <= 0:
             raise ValueError(f"parameter {name} must be positive, got {v!r}")
-
-
-class Regime(Enum):
-    W_LESS_A = "w<a"
-    W_GREATER_A = "w>a"
-    DEGENERATE = "w=a"
+        if not (v > 0 and math.isfinite(v)):  # nan or an infinity
+            raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
 
 class DerivedShape(NamedTuple):
@@ -114,7 +108,6 @@ class DerivedShape(NamedTuple):
     k: float
     u: float  # extremum abscissa, -q^2 w
     gamma: float  # hyperbolic-branch asymptote abscissa
-    regime: Regime
 
 
 def _q_and_k(a: float, w: float) -> tuple[float, float]:
@@ -127,15 +120,9 @@ def derive(params: CurveParams) -> DerivedShape:
     """Derive q, k, the extremum abscissa and gamma from the parameters."""
     a, w = params.a, params.w
     q, k = _q_and_k(a, w)
-    if w < a:
-        regime = Regime.W_LESS_A
-    elif w > a:
-        regime = Regime.W_GREATER_A
-    else:
-        regime = Regime.DEGENERATE
     u = -(q * q) * w
     gamma = -0.5 * (a * (a / w) + w)  # -(a^2 + w^2) / (2w), free of a^2 or w^2 overflow
-    return DerivedShape(q=q, k=k, u=u, gamma=gamma, regime=regime)
+    return DerivedShape(q, k, u, gamma)
 
 
 def implicit_F(params: CurveParams, p: PlanePoint) -> float:
@@ -229,22 +216,19 @@ def sample_grid(n: int) -> list[float]:
     return [two_pi * j / d for j in range(n)]
 
 
-def sample_egg(params: CurveParams, ts: list[float]) -> tuple[list[float], list[float]]:
-    """The columns ``(xs, ys)`` of the egg point at each t of ``ts``.
+def sample_egg(
+    params: CurveParams, n: int
+) -> tuple[list[float], list[float], list[float]]:
+    """The grid ``ts = sample_grid(n)`` and the columns ``xs, ys`` of the
+    egg point at each of its t.
 
-    ``ts`` is a closed grid such as ``sample_grid`` gives: at least two
-    values, the first 0 and the last within one ulp of 2*pi.  The last
-    point repeats the first, closing the egg exactly at (a, 0).  Any
-    other ``ts`` is a ``ValueError``.
+    The last point repeats the first, closing the egg exactly at (a, 0).
     """
-    if len(ts) < 2:
-        raise ValueError("need at least 2 sample points")
-    if ts[0] != 0.0 or not abs(ts[-1] - _TWO_PI) <= math.ulp(_TWO_PI):
-        raise ValueError("the sample parameters must run from 0 to 2*pi")
+    ts = sample_grid(n)
     xs, ys = _columns(params, ts[:-1])
     xs.append(xs[0])  # exact closure at t = 2*pi
     ys.append(ys[0])
-    return xs, ys
+    return ts, xs, ys
 
 
 def construction_circles(

@@ -133,8 +133,9 @@ class SeriesSum(NamedTuple):
 def series_sum(target: SeriesTarget, x: float, tol: float) -> SeriesSum:
     """Sum the series until the current term drops below ``tol``.
 
-    The first term is always added.  ``last_term`` reports the achieved
-    truncation level (the final term added).  A ``tol`` that is not
+    The first term is always added.  ``last_term`` is the last term added,
+    not a bound on the error: the tail after it can exceed it by up to a
+    factor x^2 / (1 - x^2), which is large near x = 1.  A ``tol`` that is not
     positive (NaN included) raises ``ValueError``; reaching
     ``_MAX_SERIES_TERMS`` before a term drops below ``tol`` raises
     ``DomainError`` rather than return a truncated sum.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .curve import CurveParams
@@ -76,13 +75,14 @@ def _legendre(n: int, x: float) -> tuple[float, float]:
     return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+def _gauss_nodes() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] of order
+    ``_GAUSS_ORDER``.
 
     Newton's method on P_n (Golub & Welsch 1969; Numerical Recipes
     ``gauleg``), started for the i-th root at -cos(pi (i + 3/4) / (n + 1/2)).
     """
+    order = _GAUSS_ORDER
     nodes, weights = [], []
     for i in range(order):
         x = -math.cos(math.pi * (i + 0.75) / (order + 0.5))
@@ -98,11 +98,13 @@ def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
+_NODES, _WEIGHTS = _gauss_nodes()
+
+
 def _gauss_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
-    nodes, weights = _gauss_nodes(_GAUSS_ORDER)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(nodes, weights))
+    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(_NODES, _WEIGHTS))
 
 
 def quad(

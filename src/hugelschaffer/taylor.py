@@ -54,39 +54,24 @@ class PolyTerm(NamedTuple):
         return self.float_coeff == 0.0
 
 
-class TaylorApprox:
-    """An immutable polynomial enclosure of a series-defined function.
+class TaylorApprox(NamedTuple):
+    """A polynomial enclosure of a series-defined function.
 
     ``beta`` is None for the first kind and the resolved endpoint for the
-    second.  The dense float coefficients are summed from ``terms`` once,
-    here.
+    second.
     """
 
-    __slots__ = ("target", "degree", "beta", "terms", "_dense")
-
-    def __init__(
-        self,
-        target: SeriesTarget,
-        degree: int,
-        beta: Optional[float],
-        terms: tuple[PolyTerm, ...],
-    ) -> None:
-        dense = [0.0] * (degree + 1)
-        for t in terms:
-            dense[t.power] += t.value()
-        values = (target, degree, beta, terms, tuple(dense))
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (TaylorApprox, (self.target, self.degree, self.beta, self.terms))
+    target: SeriesTarget
+    degree: int
+    beta: Optional[float]
+    terms: tuple[PolyTerm, ...]
 
     def coefficients(self) -> list[float]:
-        """Dense float coefficient list, index = power."""
-        return list(self._dense)
+        """Dense float coefficient list, index = power, summed from ``terms``."""
+        dense = [0.0] * (self.degree + 1)
+        for t in self.terms:
+            dense[t.power] += t.value()
+        return dense
 
 
 def _maclaurin(target: SeriesTarget, n: int) -> TaylorApprox:
@@ -154,7 +139,7 @@ def _second(
             f"beta={beta!r}: beta**{degrees[-1]} underflows to 0"
         )
     f_beta = target_value(target, beta)
-    dense = base._dense
+    dense = base.coefficients()
     return beta, base, [
         PolyTerm(j, float_coeff=(f_beta - _horner(dense[:j], beta)) / beta**j)
         for j in degrees
@@ -177,7 +162,7 @@ def eval_approx(approx: TaylorApprox, x: float) -> float:
             )
     else:
         approx.target.check_domain(x)
-    return _horner(approx._dense, x)
+    return _horner(approx.coefficients(), x)
 
 
 class ChainViolation(NamedTuple):
@@ -218,7 +203,7 @@ def verify_chain(
     # of degree j is dense[:j] with its correction on top
     degrees = range(max_degree + 1)
     beta_eff, base, corrections = _second(target, max_degree + 1, beta, degrees)
-    dense = base._dense
+    dense = base.coefficients()
     tops = [c.value() for c in corrections]
     # every coefficient past the first has the sign of c_1
     sign = 1.0 if target.coeff(1) > 0 else -1.0
@@ -231,7 +216,7 @@ def verify_chain(
             raise DomainError(f"grid point {x!r} outside (0, beta]")
         f = target_value(target, x)
         tvals = [_horner(dense[: j + 1], x) for j in degrees]
-        svals = [_horner(dense[:j] + (tops[j],), x) for j in degrees]
+        svals = [_horner(dense[:j] + [tops[j]], x) for j in degrees]
         eps = _CHAIN_SLACK * max(1.0, abs(f))
         failed = []
         # monotone approach of the first family toward f

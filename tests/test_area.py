@@ -84,6 +84,12 @@ def test_J_relations(k, tol):
     assert max(margins.values()) <= tol, margins
 
 
+@pytest.mark.parametrize("k", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_J_relations_outside_the_open_interval(k):
+    with pytest.raises(DomainError, match="modulus must lie in"):
+        check_J_relations(k)
+
+
 class TestAreaExact:
     def test_parts_difference_w_less_a(self):
         result = area_exact(CurveParams(4, 3, 2))

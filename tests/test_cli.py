@@ -220,6 +220,21 @@ def test_non_finite_result_is_an_error():
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+    # a*b*q = 1 but gamma = -(a^2 + w^2) / (2w) overflows to -inf, and the
+    # viewBox width 2.2 * a overflows: the human, json and svg writers
+    # reject what they would print
+    egg = ("area", "--a", "1e300", "--b", "1e-300", "--w", "1e-300")
+    for argv, message in (
+        (egg, "error: result is not finite (-inf)\n"),
+        ((*egg, "--format", "csv"), "error: result is not finite (-inf)\n"),
+        ((*egg, "--format", "json"), "error: result is not finite\n"),
+        (("sample", "--a", "1e308", "--b", "1e308", "--w", "1e308", "--n", "3",
+          "--format", "svg"), "error: result is not finite (inf)\n"),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 1, argv
+        assert result.stdout == ""
+        assert result.stderr == message
 
 
 def test_underflowing_scale_is_an_error():
@@ -262,6 +277,27 @@ def test_verify_passes():
     jsonschema.validate(payload, _schema("verify"))
     assert result.returncode == 0
     assert payload["passed"] is True
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    # a 1/pi partial sum of 0 misses its 1e-8 tolerance by 1/pi
+    monkeypatch.setattr(cli.area_mod, "inv_pi_partial", lambda n: 0.0)
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "FAILURES present"
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert failed == [
+        f"FAIL 1/pi partial error at N=10^4: margin {1.0 / math.pi:.17g} (tol 1e-08)"
+    ]
+    assert cli.main(["verify", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _schema("verify"))
+    assert payload["passed"] is False
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == [
+        "1/pi partial error at N=10^4"
+    ]
 
 
 def test_import_leaves_numpy_out():
@@ -332,10 +368,10 @@ def test_csv_template_writes_what_field_by_field_formatting_did(capsys):
 def test_non_finite_csv_field_is_an_error(monkeypatch, capsys, bad):
     real_sample_egg = cli.curve_mod.sample_egg
 
-    def sample_egg(params, ts):
-        xs, ys = real_sample_egg(params, ts)
+    def sample_egg(params, n):
+        ts, xs, ys = real_sample_egg(params, n)
         ys[3] = bad
-        return xs, ys
+        return ts, xs, ys
 
     monkeypatch.setattr(cli.curve_mod, "sample_egg", sample_egg)
     monkeypatch.setattr(cli.area_mod, "_inv_pi_sum", lambda n: (0.3, bad))

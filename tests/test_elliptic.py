@@ -187,6 +187,12 @@ def test_series_domain_errors():
         series_eval(SeriesTarget.K, 1.0, 1e-10)
     with pytest.raises(DomainError):
         series_eval(SeriesTarget.E, 1.5, 1e-10)
+    for target in SeriesTarget:
+        with pytest.raises(ValueError, match="series index must be nonnegative"):
+            target.coeff(-1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_terms must be positive"):
+                series_partial(target, 0.5, n)
 
 
 def test_series_rejects_a_tolerance_that_is_not_positive(monkeypatch):

@@ -11,7 +11,8 @@ from hugelschaffer.oracle import (
     DepthExhausted,
     QuadratureSpec,
     Rule,
-    _gauss_nodes,
+    _NODES,
+    _WEIGHTS,
     quad,
     quad_area,
     quad_elliptic,
@@ -47,6 +48,19 @@ def test_depth_exhaustion():
     with pytest.raises(DepthExhausted) as info:
         quad(lambda t: 1.0 / math.sqrt(abs(t) + 1e-14), -1.0, 1.0)
     assert math.isfinite(info.value.best)
+    # 1/t is not integrable on [0, 1]: each halving toward 0 adds log 2
+    with pytest.raises(DepthExhausted) as info:
+        quad(lambda t: 1.0 / t, 0.0, 1.0, QuadratureSpec(rule=Rule.GAUSS_LEGENDRE))
+    assert math.isfinite(info.value.best)
+    assert info.value.err_bound == pytest.approx(math.log(2.0), rel=1e-9)
+
+
+def test_empty_interval_is_zero_without_evaluating():
+    def f(t):
+        raise AssertionError(f"integrand evaluated at {t!r}")
+
+    for rule in Rule:
+        assert quad(f, 0.75, 0.75, QuadratureSpec(rule=rule)) == 0.0
 
 
 def test_quad_elliptic_values():
@@ -146,33 +160,34 @@ def test_quad_elliptic_near_one(kind, k, rule):
     assert abs(value / _mpmath_ellip(kind, k) - 1.0) < 1e-11
 
 
-def test_gauss_nodes_low_orders():
-    nodes, weights = _gauss_nodes(1)
-    assert nodes == pytest.approx((0.0,), abs=1e-16)
-    assert weights == pytest.approx((2.0,), rel=1e-15)
-    root = 1.0 / math.sqrt(3.0)
-    nodes, weights = _gauss_nodes(2)
-    assert nodes == pytest.approx((-root, root), abs=2e-16)
-    assert weights == pytest.approx((1.0, 1.0), rel=1e-15)
+def test_gauss_nodes_are_the_newton_values_bit_for_bit():
+    # what Newton's method gave when the nodes were computed per order on
+    # demand; computing them once at import must not move a bit
+    nodes = ("0x1.ebab1cb0acc67p-1", "0x1.97e4ab249f41fp-1",
+             "0x1.0d129583284b4p-1", "0x1.77ac94f3c7344p-3")
+    weights = ("0x1.9ea1d04ca036ep-4", "0x1.c76fb531d2b95p-3",
+               "0x1.413c50a255617p-2", "0x1.736360b199343p-2")
+    assert [x.hex() for x in _NODES] == ["-" + h for h in nodes] + list(reversed(nodes))
+    assert [w.hex() for w in _WEIGHTS] == list(weights) + list(reversed(weights))
 
 
 def test_gauss_nodes_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
+    order = 8
+    assert len(_NODES) == len(_WEIGHTS) == order
     with mpmath.workdps(40):
-        for order in range(1, 65):
-            nodes, weights = _gauss_nodes(order)
-            assert len(nodes) == order
-            roots = []
-            for x, w in zip(nodes, weights):
-                # 40-digit Newton refinement of the root of P_n nearest x
-                root = mpmath.mpf(x)
-                for _ in range(3):
-                    p = mpmath.legendre(order, root)
-                    p_prev = mpmath.legendre(order - 1, root)
-                    root -= p * (root**2 - 1) / (order * (root * p - p_prev))
-                ref_w = 2 * (1 - root**2) / (order * mpmath.legendre(order - 1, root)) ** 2
-                assert abs(x - root) <= 2e-16, (order, x)
-                assert abs((w - ref_w) / ref_w) <= 2e-13, (order, x)
-                roots.append(root)
-            # distinct ascending roots: every root of P_n is matched once
-            assert all(a < b for a, b in zip(roots, roots[1:])), order
+        roots = []
+        for x, w in zip(_NODES, _WEIGHTS):
+            # 40-digit Newton refinement of the root of P_8 nearest x
+            root = mpmath.mpf(x)
+            for _ in range(3):
+                p = mpmath.legendre(order, root)
+                p_prev = mpmath.legendre(order - 1, root)
+                root -= p * (root**2 - 1) / (order * (root * p - p_prev))
+            assert abs(mpmath.legendre(order, root)) < mpmath.mpf(10) ** -35, x
+            ref_w = 2 * (1 - root**2) / (order * mpmath.legendre(order - 1, root)) ** 2
+            assert abs(x - root) <= 2e-16, x
+            assert abs((w - ref_w) / ref_w) <= 2e-15, x
+            roots.append(root)
+        # distinct ascending roots: every root of P_8 is matched once
+        assert all(a < b for a, b in zip(roots, roots[1:]))

@@ -146,16 +146,16 @@ def test_eval_examples():
 
 
 def test_approximations_are_immutable_and_round_trip():
-    # the dense coefficients are summed once from the terms, so neither may
-    # change after construction; copies rebuild them from the fields
+    # the dense coefficients are summed from the terms on each call, so an
+    # approximant is its four fields and compares by value
     approx = second_taylor(SeriesTarget.D, 5, 0.9)
-    for name in ("terms", "degree", "_dense"):
+    for name in ("terms", "degree", "other"):
         with pytest.raises(AttributeError):
             setattr(approx, name, None)
+    assert approx == second_taylor(SeriesTarget.D, 5, 0.9)
+    assert approx != second_taylor(SeriesTarget.D, 5, 0.8)
     for clone in (copy.copy(approx), copy.deepcopy(approx), pickle.loads(pickle.dumps(approx))):
-        assert (clone.target, clone.degree, clone.beta, clone.terms) == (
-            approx.target, approx.degree, approx.beta, approx.terms
-        )
+        assert clone == approx and type(clone) is type(approx)
         assert clone.coefficients() == approx.coefficients()
         assert eval_approx(clone, 0.5) == eval_approx(approx, 0.5)
 
@@ -196,6 +196,22 @@ def test_eval_domain_errors():
         eval_approx(second_taylor(SeriesTarget.E, 3, 0.5), 0.6)
     # allowed: first-kind area polynomial at the closed endpoint
     eval_approx(first_taylor(SeriesTarget.AREA, 4), 1.0)
+
+
+def test_negative_degree_is_an_error():
+    for target in SeriesTarget:
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            first_taylor(target, -1)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            second_taylor(target, -1, 0.5)
+        with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+            verify_chain(target, -1, 0.5, [0.25])
+
+
+@pytest.mark.parametrize("x", [0.0, -0.25, 0.95, math.nan])
+def test_chain_grid_point_outside_zero_to_beta_is_an_error(x):
+    with pytest.raises(DomainError, match="outside"):
+        verify_chain(SeriesTarget.E, 4, 0.9, [0.25, x])
 
 
 GRID_09 = [i / 10.0 for i in range(1, 10)]
