@@ -55,8 +55,7 @@ class AreaBreakdown(NamedTuple):
     total: float
     part1: float  # subarea left of the extremum abscissa
     part2: float  # subarea right of it
-    scale: float  # a * b * q
-    k: float
+    part_diff: float  # part2 - part1 = (8/3) a b q k
 
 
 class BoundsCertificate(NamedTuple):
@@ -151,10 +150,10 @@ def _scale_and_k(params: CurveParams) -> tuple[float, float]:
     return scale, k
 
 
-def _subareas(total: float, scale: float, k: float) -> tuple[float, float, float]:
-    """part1, part2 and their exact difference part2 - part1 = (8/3) a b q k."""
+def _breakdown(total: float, scale: float, k: float) -> AreaBreakdown:
+    """The total split into part1 and part2 by their exact difference."""
     diff = (8.0 / 3.0) * scale * k
-    return 0.5 * (total - diff), 0.5 * (total + diff), diff
+    return AreaBreakdown(total, 0.5 * (total - diff), 0.5 * (total + diff), diff)
 
 
 def area_exact(params: CurveParams) -> AreaBreakdown:
@@ -164,24 +163,24 @@ def area_exact(params: CurveParams) -> AreaBreakdown:
     (8/3) a b q.
     """
     scale, k = _scale_and_k(params)
-    total = scale * scale_free_area(k)
-    part1, part2, _ = _subareas(total, scale, k)
-    return AreaBreakdown(total, part1, part2, scale, k)
+    return _breakdown(scale * scale_free_area(k), scale, k)
 
 
-def area_series(params: CurveParams, tol: float = 1e-14) -> float:
+def area_series(params: CurveParams, tol: float = 1e-14) -> AreaBreakdown:
     """Area via the modulus power series, truncated at ``tol``."""
     scale, k = _scale_and_k(params)
-    return scale * series_eval(SeriesTarget.AREA, k, tol)
+    return _breakdown(scale * series_eval(SeriesTarget.AREA, k, tol), scale, k)
 
 
-def area_series_partial(params: CurveParams, n_terms: int) -> float:
+def area_series_partial(params: CurveParams, n_terms: int) -> AreaBreakdown:
     """Area series summed over a fixed number of terms (endpoint probing)."""
     scale, k = _scale_and_k(params)
-    return scale * series_partial(SeriesTarget.AREA, k, n_terms)
+    return _breakdown(scale * series_partial(SeriesTarget.AREA, k, n_terms), scale, k)
 
 
-def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> float:
+def area_taylor(
+    params: CurveParams, n: int, beta: Optional[float] = None
+) -> AreaBreakdown:
     """Taylor-approximant area of degree n.
 
     With ``beta`` None this is the first kind, an upper bound; with a
@@ -194,7 +193,7 @@ def area_taylor(params: CurveParams, n: int, beta: Optional[float] = None) -> fl
         approx = taylor.first_taylor(SeriesTarget.AREA, n)
     else:
         approx = taylor.second_taylor(SeriesTarget.AREA, n, beta)
-    return scale * taylor.eval_approx(approx, k)
+    return _breakdown(scale * taylor.eval_approx(approx, k), scale, k)
 
 
 def bounds(params: CurveParams) -> BoundsCertificate:
@@ -267,8 +266,8 @@ def _inv_pi_sum(N: int) -> tuple[float, float]:
     for _ in repeat(None, N):
         odd += 2.0
         succ += 1.0
-        # ** 2, not q * q: they differ first at i = 4797 and move the output from N = 180268
-        r *= (odd / (odd + 1.0)) ** 2
+        q = odd / (odd + 1.0)
+        r *= q * q
         acc += r / (odd * succ)
     return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 

@@ -108,27 +108,15 @@ def _params(args) -> curve_mod.CurveParams:
 
 def cmd_area(args) -> int:
     params = _params(args)
-    shape = curve_mod.derive(params)
-    scale, k = area_mod._scale_and_k(params)
     if args.method == "exact":
-        total = area_mod.area_exact(params).total
+        result = area_mod.area_exact(params)
     elif args.method == "series":
-        total = area_mod.area_series(params, tol=args.tol)
+        result = area_mod.area_series(params, tol=args.tol)
     else:
-        total = area_mod.area_taylor(params, args.n, args.beta)
-    part1, part2, diff = area_mod._subareas(total, scale, k)
-    pairs = [
-        ("total", total),
-        ("part1", part1),
-        ("part2", part2),
-        ("part_diff", diff),
-        ("q", shape.q),
-        ("k", shape.k),
-        ("u", shape.u),
-        ("gamma", shape.gamma),
-        ("method", args.method),
-    ]
-    _emit_kv(pairs, args.format)
+        result = area_mod.area_taylor(params, args.n, args.beta)
+    shape = curve_mod.derive(params)
+    pairs = [*zip(result._fields, result), *zip(shape._fields, shape)]
+    _emit_kv([*pairs, ("method", args.method)], args.format)
     return 0
 
 

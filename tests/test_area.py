@@ -117,14 +117,23 @@ class TestAreaExact:
 
 
 def test_decomposition_property_both_regimes():
+    # every route returns the same split: part_diff is (8/3) a b q k
+    # bit for bit, and the parts add up to the total
     for params in _random_triples():
-        result = area_exact(params)
-        assert result.part1 + result.part2 == pytest.approx(
-            result.total, rel=1e-11
-        )
-        assert result.part2 - result.part1 == pytest.approx(
-            (8 / 3) * result.scale * result.k, rel=1e-11
-        )
+        shape = derive(params)
+        diff = (8 / 3) * (params.a * params.b * shape.q) * shape.k
+        for result in (
+            area_exact(params),
+            area_series(params, 1e-14),
+            area_series_partial(params, 50),
+            area_taylor(params, 6),
+            area_taylor(params, 6, beta=1.0),
+        ):
+            assert result.part_diff == diff
+            assert result.part1 + result.part2 == pytest.approx(
+                result.total, rel=1e-11
+            )
+            assert result.part2 - result.part1 == pytest.approx(diff, rel=1e-11)
 
 
 def test_series_cross_method():
@@ -132,7 +141,7 @@ def test_series_cross_method():
         if derive(params).k > 0.95:
             continue
         exact = area_exact(params).total
-        assert abs(area_series(params, 1e-14) - exact) / exact < 1e-11
+        assert abs(area_series(params, 1e-14).total - exact) / exact < 1e-11
 
 
 def test_series_area_rejects_tolerance_not_positive(monkeypatch):
@@ -148,10 +157,10 @@ def test_series_area_rejects_tolerance_not_positive(monkeypatch):
 def test_series_limits():
     # k -> 0: the series constant term is a*b*q*pi (ellipse)
     params = CurveParams(4.0, 3.0, 1e-8)
-    assert area_series(params, 1e-14) == pytest.approx(12 * math.pi, rel=1e-12)
+    assert area_series(params, 1e-14).total == pytest.approx(12 * math.pi, rel=1e-12)
     # k = 1 with a bounded number of terms converges to the parabola value
     params = CurveParams(2, 2, 2)
-    approx = area_series_partial(params, 10**6)
+    approx = area_series_partial(params, 10**6).total
     assert abs(approx - 32 / 3) / (32 / 3) < 1e-8
 
 
@@ -163,11 +172,11 @@ def test_monotone_in_k_at_fixed_scale():
 
 class TestAreaTaylor:
     def test_second_kind_degree_zero(self):
-        assert area_taylor(CurveParams(4, 3, 2), 0, beta=1.0) == pytest.approx(32.0)
+        assert area_taylor(CurveParams(4, 3, 2), 0, beta=1.0).total == pytest.approx(32.0)
 
     def test_second_kind_degree_three(self):
         params = CurveParams(4, 3, 2)  # q = 1, k = 0.5, scale 12
-        got = area_taylor(params, 3, beta=1.0)
+        got = area_taylor(params, 3, beta=1.0).total
         t2 = 12 * math.pi * (1 - 0.125 * 0.25)
         expected = t2 + 12 * (8 / 3 - 7 * math.pi / 8) * 0.5**3
         assert got == pytest.approx(expected, rel=1e-14)
@@ -179,8 +188,8 @@ class TestAreaTaylor:
             if not (0.05 < k < 0.95):
                 continue
             for n in range(11):
-                upper = area_taylor(params, n)
-                lower = area_taylor(params, n, beta=1.0)
+                upper = area_taylor(params, n).total
+                lower = area_taylor(params, n, beta=1.0).total
                 assert lower - 1e-12 <= exact <= upper + 1e-12
 
 
@@ -256,9 +265,9 @@ class TestBounds:
                  1.0 - 10.0 ** rng.uniform(-16, -2))
             )
             params = CurveParams(a, b, a * k)
-            exact = area_exact(params)
+            shape = derive(params)
             cert = bounds(params)
-            assert cert.upper_refined == exact.scale * eval_approx(approx, exact.k)
+            assert cert.upper_refined == (a * b * shape.q) * eval_approx(approx, shape.k)
 
     def test_same_numbers_as_area_exact_and_derive(self):
         # bounds forms its total apart from area_exact, and area_exact its
@@ -274,8 +283,7 @@ class TestBounds:
                 params = CurveParams(a, b, w)
                 exact, shape = area_exact(params), derive(params)
                 assert bounds(params).exact_total == exact.total
-                assert exact.k == shape.k
-                assert exact.scale == a * b * shape.q
+                assert exact.part_diff == (8 / 3) * (a * b * shape.q) * shape.k
 
 
 def test_result_records_are_immutable():
@@ -337,11 +345,11 @@ class TestInvPi:
             r = 1.0
             acc = 0.0
             for i in range(1, N + 1):
-                r *= ((2 * i - 1) / (2 * i)) ** 2
+                q = (2 * i - 1) / (2 * i)
+                r *= q * q
                 acc += r / ((2 * i - 1) * (i + 1))
             return 0.375 * (1.0 - acc), 0.375 * r / ((2 * N - 1) * (N + 1))
 
-        # from N = 180268 on, q * q in place of q ** 2 would move the output
         for n in (1, 2, 3, 100, 12345, 10**5, 180268, 10**6):
             got, want = _inv_pi_sum(n), reference(n)
             assert [v.hex() for v in got] == [v.hex() for v in want], n
@@ -407,7 +415,7 @@ def test_extreme_scales_raise_or_stay_normal():
         returned += 1
         exact, series, first, second, cert = results
         areas = (
-            exact.total, series, first, second, cert.lower_coarse,
+            exact.total, series.total, first.total, second.total, cert.lower_coarse,
             cert.lower_refined, cert.exact_total, cert.upper_refined,
             cert.upper_coarse,
         )

@@ -61,6 +61,17 @@ def test_area_series_matches_exact():
     assert abs(exact["total"] - series["total"]) <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["exact", "series", "taylor"])
+def test_area_prints_its_two_records_as_they_are(method, capsys):
+    from hugelschaffer.area import AreaBreakdown
+    from hugelschaffer.curve import DerivedShape
+
+    argv = ["area", "--a", "4", "--b", "3", "--w", "2", "--method", method, "--format", "json"]
+    assert cli.main(argv) == 0
+    keys = tuple(json.loads(capsys.readouterr().out))
+    assert keys == AreaBreakdown._fields + DerivedShape._fields + ("method",)
+
+
 def test_bounds_json():
     result = run_cli("bounds", "--a", "2", "--b", "3", "--w", "4", "--format", "json")
     payload = json.loads(result.stdout)
