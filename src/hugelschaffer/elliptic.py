@@ -109,7 +109,8 @@ class SeriesTarget(Enum):
 def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     """Signed series terms (including the pi factor) at the point x.
 
-    The double-factorial ratio is carried as a float recurrence; no
+    The double-factorial ratio is carried as a float recurrence that
+    squares each ratio as a product, rounded alike on every platform; no
     factorials are ever formed.
     """
     multiplier = _SERIES[target].multiplier
@@ -120,7 +121,8 @@ def _float_terms(target: SeriesTarget, x: float) -> Iterator[float]:
     for i in count():
         num, den = multiplier(i)
         yield pi * (r * num / den) * xp
-        r *= ((2 * i + 1) / (2 * i + 2)) ** 2
+        q = (2 * i + 1) / (2 * i + 2)
+        r *= q * q
         xp *= x2
 
 

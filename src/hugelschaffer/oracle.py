@@ -216,9 +216,13 @@ def quad_elliptic(
     k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
 
     if kind == "K":
-        f = lambda u: 1.0 / math.sqrt(kp2 + k2 * math.sin(u) ** 2)
+        def f(u: float) -> float:
+            s = math.sin(u)
+            return 1.0 / math.sqrt(kp2 + k2 * (s * s))
     else:
-        f = lambda u: math.sqrt(kp2 + k2 * math.sin(u) ** 2)
+        def f(u: float) -> float:
+            s = math.sin(u)
+            return math.sqrt(kp2 + k2 * (s * s))
     return quad(f, 0.0, 0.5 * math.pi, spec)
 
 

@@ -37,9 +37,10 @@ _CHAIN_SLACK = 1e-14
 class PolyTerm(NamedTuple):
     """One polynomial term: (pi_coeff * pi + const_coeff + float_coeff) * x^power.
 
-    The two Fraction slots keep table fixtures exactly representable;
-    ``float_coeff`` is only nonzero for correction terms whose endpoint
-    value is itself transcendental (K and D at a generic beta).
+    The two Fraction slots keep table fixtures exactly representable.
+    ``float_coeff`` is set only on a second-kind correction term built from
+    a float f(beta): for every target at beta < 1, and for K and D at the
+    stand-in for beta = 1.
     """
 
     power: int

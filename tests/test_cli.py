@@ -72,6 +72,25 @@ def test_area_prints_its_two_records_as_they_are(method, capsys):
     assert keys == AreaBreakdown._fields + DerivedShape._fields + ("method",)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_bounds_prints_its_certificate_as_it_is(fmt, capsys):
+    from hugelschaffer.area import BoundsCertificate, bounds
+    from hugelschaffer.curve import CurveParams
+
+    assert cli.main(["bounds", "--a", "4", "--b", "3", "--w", "2", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        assert tuple(payload.values()) == tuple(bounds(CurveParams(4.0, 3.0, 2.0)))
+        keys = tuple(payload)
+    elif fmt == "csv":
+        keys = tuple(out.splitlines()[0].split(","))
+    else:
+        keys = tuple(line.split(" = ")[0] for line in out.splitlines())
+    # the record's exact_total is printed under the key "exact"
+    assert keys == tuple("exact" if f == "exact_total" else f for f in BoundsCertificate._fields)
+
+
 def test_bounds_json():
     result = run_cli("bounds", "--a", "2", "--b", "3", "--w", "4", "--format", "json")
     payload = json.loads(result.stdout)

@@ -10,7 +10,9 @@ A change that moves output on purpose rewrites the hashes with
 
     PYTHONPATH=src python tests/test_cli_manifest.py
 
-and lists each changed command and the reason for it in CHANGES.md.
+and lists each changed command and the reason for it in CHANGES.md.  The
+script prints how many lines changed and the argv of the first 20 before
+it writes.
 """
 
 import contextlib
@@ -60,7 +62,15 @@ def test_every_manifest_line_is_unchanged():
 
 
 if __name__ == "__main__":
-    # rewrite every line's hashes from the present code, keeping the argv list
-    rows = [run_line(line["argv"]) for line in _read()]
+    # rewrite every line's hashes from the present code, keeping the argv list,
+    # first naming each command whose line moves
+    old = _read()
+    rows = [run_line(line["argv"]) for line in old]
+    moved = [" ".join(row["argv"]) for row, line in zip(rows, old) if row != line]
+    sys.stdout.write(f"{len(moved)} of {len(rows)} lines changed\n")
+    for argv in moved[:20]:
+        sys.stdout.write(f"  {argv}\n")
+    if len(moved) > 20:
+        sys.stdout.write(f"  ... and {len(moved) - 20} more\n")
     MANIFEST.write_text("".join(json.dumps(row) + "\n" for row in rows))
     sys.stdout.write(f"wrote {len(rows)} lines to {MANIFEST}\n")

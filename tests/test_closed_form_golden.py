@@ -14,7 +14,9 @@ A change that moves these bits on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_closed_form_golden.py
 
-and lists each moved value and the reason for it in CHANGES.md.
+and lists each moved value and the reason for it in CHANGES.md.  The
+script prints how many lines moved and the egg or modulus of the first 20
+before it writes.
 """
 
 import json
@@ -114,8 +116,16 @@ def test_every_value_is_unchanged_bit_for_bit():
 
 
 if __name__ == "__main__":
-    # rewrite every line from the present code
+    # rewrite every line from the present code, first naming each line that moves
+    old = _read()
     rows = [egg_line([v.hex() for v in egg]) for egg in _eggs()]
     rows += [modulus_line(k.hex()) for k in _moduli()]
+    moved = [row for i, row in enumerate(rows) if i >= len(old) or old[i] != row]
+    sys.stdout.write(f"{len(moved)} of {len(rows)} lines changed\n")
+    for row in moved[:20]:
+        key = "egg" if "egg" in row else "k"
+        sys.stdout.write(f"  {key} {row[key]}\n")
+    if len(moved) > 20:
+        sys.stdout.write(f"  ... and {len(moved) - 20} more\n")
     GOLDEN.write_text("".join(json.dumps(row) + "\n" for row in rows))
     sys.stdout.write(f"wrote {len(rows)} lines to {GOLDEN}\n")

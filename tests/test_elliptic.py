@@ -267,6 +267,22 @@ def test_series_cap_is_an_error_not_a_truncated_sum(monkeypatch):
     assert series_partial(SeriesTarget.K, 0.999, 500) == total
 
 
+def test_float_terms_square_each_ratio_as_a_product():
+    # r_{i+1} = r_i * q * q with q = (2i + 1)/(2i + 2): one correctly rounded
+    # product on every platform.  glibc's pow rounds (9593/9594)**2 an ulp
+    # away from it, and from index 180268 on the K terms at x = 1 then differ.
+    n = 180_300
+    want = []
+    r = 1.0
+    for i in range(n):
+        want.append(math.pi * (r * 1 / 2))
+        q = (2 * i + 1) / (2 * i + 2)
+        r *= q * q
+    got = list(itertools.islice(elliptic._float_terms(SeriesTarget.K, 1.0), n))
+    first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first_bad is None, f"term {first_bad} differs"
+
+
 def test_series_sum_reports_truncation():
     result = series_sum(SeriesTarget.E, 0.5, 1e-12)
     assert abs(result.last_term) < 1e-12
