@@ -21,11 +21,10 @@ floats it would turn the area into inf, 0 or a subnormal, so
 from __future__ import annotations
 
 import math
-import sys
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .curve import CurveParams, _q_and_k
+from .curve import _MAX_SCALE, _MIN_SCALE, CurveParams, _q_and_k
 from .elliptic import (
     DomainError,
     SeriesTarget,
@@ -132,12 +131,6 @@ def check_J_relations(k: float) -> dict[str, float]:
         "J2": abs(oracle.quad(j2, half_pi, pi) - integral_I(2, k)),
         "J3": abs(oracle.quad(j3, half_pi, pi) - integral_I(3, k)),
     }
-
-
-# Every area and bound is at most pi*scale, so for a scale in this range
-# each of them is a normal float.
-_MIN_SCALE = sys.float_info.min
-_MAX_SCALE = sys.float_info.max / 4
 
 
 def _scale_and_k(params: CurveParams) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from . import curve as curve_mod
 from .elliptic import DomainError, SeriesTarget, series_eval, target_value
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
 # the --target letter of each member, in member order
@@ -258,123 +259,114 @@ def cmd_pi_series(args) -> int:
 # verification battery
 
 
-def _verification_checks() -> list[tuple[str, float, float]]:
-    """(name, margin, tolerance) triples; a check passes iff margin <= tol."""
-    import random
+def _verification_checks() -> list[tuple[str, Callable[[], float], float]]:
+    """(name, margin function, tolerance) entries in printed order; a check
+    passes iff its margin <= its tolerance.  Each function computes its
+    margin from its own fixed inputs when it is called."""
     from fractions import Fraction
 
     from . import oracle as oracle_mod
     from . import taylor as taylor_mod
     from .elliptic import complete_E, complete_K
 
-    checks: list[tuple[str, float, float]] = []
-
     grid = [i / 100.0 for i in range(5, 100, 5)]
-    checks.append(
-        (
-            "oracle K/E agreement",
+
+    def oracle_elliptic() -> float:
+        return max(
             max(
-                max(
-                    abs(oracle_mod.quad_elliptic("K", k) - complete_K(k)),
-                    abs(oracle_mod.quad_elliptic("E", k) - complete_E(k)),
-                )
-                for k in grid
-            ),
-            1e-11,
-        )
-    )
-    for name, target in zip(("K", "E", "D", "area"), SeriesTarget):
-        checks.append(
-            (
-                f"series/direct agreement {name}",
-                max(
-                    abs(series_eval(target, k, 1e-16) - target_value(target, k))
-                    for k in grid
-                    if k <= 0.9
-                ),
-                1e-11,
+                abs(oracle_mod.quad_elliptic("K", k) - complete_K(k)),
+                abs(oracle_mod.quad_elliptic("E", k) - complete_E(k)),
             )
+            for k in grid
         )
 
-    fixtures_ok = (
-        SeriesTarget.K.coeff(2) == Fraction(9, 128)
-        and SeriesTarget.E.coeff(2) == Fraction(-3, 128)
-        and SeriesTarget.D.coeff(3) == Fraction(175, 4096)
-        and SeriesTarget.AREA.coeff(5) == Fraction(-147, 131072)
-    )
-    checks.append(("table coefficient fixtures", 0.0 if fixtures_ok else 1.0, 0.0))
+    def series_direct(target: SeriesTarget) -> Callable[[], float]:
+        return lambda: max(
+            abs(series_eval(target, k, 1e-16) - target_value(target, k))
+            for k in grid
+            if k <= 0.9
+        )
 
-    rng = random.Random(20240229)
-    worst = 0.0
-    for _ in range(10):
-        a = rng.uniform(1.0, 4.0)
-        b = rng.uniform(1.0, 4.0)
-        for w in (rng.uniform(0.2, 0.95) * a, rng.uniform(1.1, 3.0) * a):
+    def fixtures() -> float:
+        ok = (
+            SeriesTarget.K.coeff(2) == Fraction(9, 128)
+            and SeriesTarget.E.coeff(2) == Fraction(-3, 128)
+            and SeriesTarget.D.coeff(3) == Fraction(175, 4096)
+            and SeriesTarget.AREA.coeff(5) == Fraction(-147, 131072)
+        )
+        return 0.0 if ok else 1.0
+
+    def oracle_area() -> float:
+        # k = 0.05, 0.15, ..., 0.95 in each regime, w = k a and w = a / k,
+        # with a and b spread over [1, 4]
+        worst = 0.0
+        for i in range(10):
+            k, a, b = (2 * i + 1) / 20.0, 1.0 + i / 3.0, 4.0 - i / 3.0
+            for w in (k * a, a / k):
+                params = curve_mod.CurveParams(a=a, b=b, w=w)
+                exact = area_mod.area_exact(params).total
+                worst = max(worst, abs(exact - oracle_mod.quad_area(params).total) / exact)
+        return worst
+
+    def j_relations() -> float:
+        return max(max(area_mod.check_J_relations(k).values()) for k in (0.1, 0.5, 0.9))
+
+    def chains() -> float:
+        ok = all(
+            taylor_mod.verify_chain(t, 10, beta, [0.1 * i for i in range(1, 10)]).ok
+            for t, beta in zip(SeriesTarget, (0.95, 1.0, 0.95, 1.0))  # K, E, D, area
+        )
+        return 0.0 if ok else 1.0
+
+    def on_curve() -> float:
+        # the 5 x 5 x 8 eggs with a, b in [0.5, 4] and w in [0.2, 6], each at
+        # one angle 2 pi i / 200; i steps by 123 (about 200 / golden ratio, prime
+        # to 200), so every run of eggs sees angles all around [0, 2 pi)
+        worst = 0.0
+        for j in range(200):
+            a, b = 0.5 + 0.875 * (j % 5), 0.5 + 0.875 * (j // 5 % 5)
+            w = 0.2 + 5.8 * (j // 25) / 7.0
+            t = 2.0 * math.pi * (123 * j % 200) / 200.0
             params = curve_mod.CurveParams(a=a, b=b, w=w)
-            exact = area_mod.area_exact(params).total
-            quad = oracle_mod.quad_area(params).total
-            worst = max(worst, abs(exact - quad) / exact)
-    checks.append(("oracle area agreement", worst, 1e-8))
+            q = curve_mod.derive(params).q
+            res = abs(curve_mod.implicit_Fq(params, curve_mod.point_at(params, t)))
+            worst = max(worst, res / (a * a * b * b * q * q))
+        return worst
 
-    worst = max(
-        max(area_mod.check_J_relations(k).values()) for k in (0.1, 0.5, 0.9)
-    )
-    checks.append(("J-relation margins", worst, 1e-8))
+    def bounds_order() -> float:
+        # the chain is the certificate's first five fields, in order
+        for a, b, w in ((4.0, 3.0, 2.0), (2.0, 3.0, 4.0), (1.5, 1.0, 1.2)):
+            chain = area_mod.bounds(curve_mod.CurveParams(a=a, b=b, w=w))[:5]
+            if not all(lo <= hi for lo, hi in zip(chain, chain[1:])):
+                return 1.0
+        return 0.0
 
-    chain_ok = all(
-        taylor_mod.verify_chain(t, 10, beta, [0.1 * i for i in range(1, 10)]).ok
-        for t, beta in (
-            (SeriesTarget.K, 0.95),
-            (SeriesTarget.D, 0.95),
-            (SeriesTarget.E, 1.0),
-            (SeriesTarget.AREA, 1.0),
-        )
-    )
-    checks.append(("two-sided chains", 0.0 if chain_ok else 1.0, 0.0))
+    def inv_pi() -> float:
+        return abs(area_mod.inv_pi_partial(10**4) - 1.0 / math.pi)
 
-    worst = 0.0
-    for _ in range(200):
-        a = rng.uniform(0.5, 4.0)
-        b = rng.uniform(0.5, 4.0)
-        w = rng.uniform(0.2, 6.0)
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        params = curve_mod.CurveParams(a=a, b=b, w=w)
-        q = curve_mod.derive(params).q
-        res = abs(curve_mod.implicit_Fq(params, curve_mod.point_at(params, t)))
-        worst = max(worst, res / (a * a * b * b * q * q))
-    checks.append(("on-curve residual", worst, 1e-9))
-
-    worst = 0.0
-    for a, b, w in ((4.0, 3.0, 2.0), (2.0, 3.0, 4.0), (1.5, 1.0, 1.2)):
-        cert = area_mod.bounds(curve_mod.CurveParams(a=a, b=b, w=w))
-        ordered = (
-            cert.lower_coarse
-            <= cert.lower_refined
-            <= cert.exact_total
-            <= cert.upper_refined
-            <= cert.upper_coarse
-        )
-        if not ordered:
-            worst = 1.0
-    checks.append(("bounds ordering", worst, 0.0))
-
-    checks.append(
-        ("1/pi partial error at N=10^4", abs(area_mod.inv_pi_partial(10**4) - 1.0 / math.pi), 1e-8)
-    )
-    return checks
+    return [
+        ("oracle K/E agreement", oracle_elliptic, 1e-11),
+        *(
+            (f"series/direct agreement {name}", series_direct(target), 1e-11)
+            for name, target in zip(("K", "E", "D", "area"), SeriesTarget)
+        ),
+        ("table coefficient fixtures", fixtures, 0.0),
+        ("oracle area agreement", oracle_area, 1e-8),
+        ("J-relation margins", j_relations, 1e-8),
+        ("two-sided chains", chains, 0.0),
+        ("on-curve residual", on_curve, 1e-9),
+        ("bounds ordering", bounds_order, 0.0),
+        ("1/pi partial error at N=10^4", inv_pi, 1e-8),
+    ]
 
 
 def cmd_verify(args) -> int:
-    checks = _verification_checks()
-    results = [
-        {
-            "name": name,
-            "margin": margin,
-            "tolerance": tol,
-            "passed": margin <= tol,
-        }
-        for name, margin, tol in checks
-    ]
+    results = []
+    for name, check, tol in _verification_checks():
+        margin = check()
+        results.append(
+            {"name": name, "margin": margin, "tolerance": tol, "passed": margin <= tol}
+        )
     all_ok = all(r["passed"] for r in results)
     if args.format == "json":
         _emit_json({"passed": all_ok, "checks": results})

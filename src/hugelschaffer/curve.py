@@ -87,6 +87,11 @@ class CurveParams:
 
 _MAX = sys.float_info.max
 
+# Every area and bound of an egg is at most pi*a*b*q, so for a scale a*b*q
+# in this range each is a normal float; area and oracle raise outside it.
+_MIN_SCALE = sys.float_info.min
+_MAX_SCALE = _MAX / 4
+
 # the slot setters, which the blocked __setattr__ does not reach
 _set_a = CurveParams.a.__set__
 _set_b = CurveParams.b.__set__

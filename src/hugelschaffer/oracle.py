@@ -3,7 +3,8 @@
 Brute-force numerical integration of the defining integrals (elliptic
 integrals, the egg-area line integral), used to validate every closed
 form in the library.  Deliberately self-contained: nothing here calls the
-AGM evaluators or the closed-form area code.
+AGM evaluators or the closed-form area code.  It shares with them only
+their domain: ``DomainError`` and the range of the area scale a*b*q.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .curve import CurveParams
+from .curve import _MAX_SCALE, _MIN_SCALE, CurveParams
+from .elliptic import DomainError
 
 __all__ = [
     "Rule",
@@ -212,7 +214,7 @@ def quad_elliptic(
     if kind not in ("K", "E"):
         raise ValueError("kind must be 'K' or 'E'")
     if not (0.0 <= k <= 1.0) or (kind == "K" and k == 1.0):
-        raise ValueError(f"modulus {k!r} outside the domain of {kind}")
+        raise DomainError(f"modulus {k!r} outside the domain of {kind}")
     k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
 
     if kind == "K":
@@ -255,15 +257,19 @@ def quad_area(
     The egg is the unit egg stretched by a along x and by q b along y, so
     the unit egg of modulus k is integrated and its area scaled by a b q
     once; the tolerance then means the same for every egg.  Split at
-    t = pi/2 to mirror the two subarea integrals.
+    t = pi/2 to mirror the two subarea integrals.  Raises ``DomainError``
+    when a b q lies outside the normal-float range that the closed forms
+    accept, where the area would be inf, 0 or a subnormal.
     """
     a, b, w = params.a, params.b, params.w
     if w <= a:
         q, k = 1.0, w / a
     else:
         q = k = a / w
-    integrand = _unit_y_xprime(k)
     scale = a * b * q
+    if not (_MIN_SCALE <= scale <= _MAX_SCALE):
+        raise DomainError(f"area scale a*b*q = {scale!r} lies outside the normal floats")
+    integrand = _unit_y_xprime(k)
     part2 = scale * (-2.0 * quad(integrand, 0.0, 0.5 * math.pi, spec))
     part1 = scale * (-2.0 * quad(integrand, 0.5 * math.pi, math.pi, spec))
     return AreaQuadrature(part1 + part2, part1, part2)

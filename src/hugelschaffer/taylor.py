@@ -38,21 +38,23 @@ class PolyTerm(NamedTuple):
     """One polynomial term: (pi_coeff * pi + const_coeff + float_coeff) * x^power.
 
     The two Fraction slots keep table fixtures exactly representable.
-    ``float_coeff`` is set only on a second-kind correction term built from
-    a float f(beta): for every target at beta < 1, and for K and D at the
-    stand-in for beta = 1.
+    ``float_coeff`` is None on an exact term.  It is set only on a
+    second-kind correction term built from a float f(beta): for every target
+    at beta < 1, and for K and D at the stand-in for beta = 1.  Such a term
+    is never exact, even where its float cancels to 0.0.
     """
 
     power: int
     pi_coeff: Fraction = Fraction(0)
     const_coeff: Fraction = Fraction(0)
-    float_coeff: float = 0.0
+    float_coeff: Optional[float] = None
 
     def value(self) -> float:
-        return math.pi * float(self.pi_coeff) + float(self.const_coeff) + self.float_coeff
+        exact = math.pi * float(self.pi_coeff) + float(self.const_coeff)
+        return exact + (self.float_coeff or 0.0)
 
     def is_exact(self) -> bool:
-        return self.float_coeff == 0.0
+        return self.float_coeff is None
 
 
 class TaylorApprox(NamedTuple):

@@ -330,6 +330,54 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     ]
 
 
+_VERIFY_NAMES = [name for name, _, _ in cli._verification_checks()]
+
+
+@pytest.fixture(scope="module")
+def verify_margins():
+    result = run_cli("verify", "--format", "json")
+    return {c["name"]: c["margin"] for c in json.loads(result.stdout)["checks"]}
+
+
+def test_verify_prints_its_table_in_order(verify_margins):
+    assert len(_VERIFY_NAMES) == len(set(_VERIFY_NAMES)) == 12
+    assert list(verify_margins) == _VERIFY_NAMES
+
+
+@pytest.mark.parametrize("name", _VERIFY_NAMES)
+def test_each_verify_check_runs_alone_by_name(name, verify_margins):
+    ((check, tol),) = [(c, t) for n, c, t in cli._verification_checks() if n == name]
+    margin = check()
+    assert type(margin) is float and margin <= tol
+    # no check reads anything an earlier one left behind
+    assert margin == verify_margins[name]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        lambda c: {"lower_refined": c.upper_refined, "upper_refined": c.lower_refined},
+        lambda c: {"exact_total": math.nan},
+    ],
+    ids=["swapped", "nan"],
+)
+def test_verify_fails_a_bounds_chain_out_of_order(monkeypatch, capsys, changes):
+    # the chain is the certificate's first five fields; a NaN is in no order
+    bounds = cli.area_mod.bounds
+
+    def out_of_order(params):
+        cert = bounds(params)
+        return cert._replace(**changes(cert))
+
+    monkeypatch.setattr(cli.area_mod, "bounds", out_of_order)
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL bounds ordering: margin 1 (tol 0)"
+    ]
+
+
 def test_import_leaves_numpy_out():
     # dataclasses brings in inspect (and ast, dis, tokenize): about a third
     # of the package's import time on every CLI call; csv output is joined

@@ -1,11 +1,13 @@
 """Tests for the quadrature oracle itself."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from hugelschaffer.curve import CurveParams
+from hugelschaffer.elliptic import DomainError
 from hugelschaffer.oracle import (
     DEFAULT_SPEC,
     DepthExhausted,
@@ -73,6 +75,12 @@ def test_quad_elliptic_values():
         quad_elliptic("F", 0.5)
 
 
+@pytest.mark.parametrize("kind,k", [("K", 1.0), ("K", -0.5), ("E", 1.5), ("E", math.nan)])
+def test_quad_elliptic_modulus_outside_its_domain_is_a_domain_error(kind, k):
+    with pytest.raises(DomainError, match="outside the domain"):
+        quad_elliptic(kind, k)
+
+
 def test_quad_elliptic_matches_agm():
     from hugelschaffer.elliptic import complete_E, complete_K
 
@@ -112,6 +120,27 @@ def test_quad_area_matches_closed_form():
             exact = area_exact(params).total
             err = abs(quad_area(params, spec).total - exact) / exact
             assert err < 1e-13, (spec.rule, params, err)
+
+
+def test_quad_area_has_the_domain_of_area_exact():
+    # where a*b*q lies outside the normal floats, as for (1e300, 1e300, 1)
+    # (inf), (1e-200, 1e-200, 1e-200) (0.0) or (1e-160, 1e-160, 1e-160) (a
+    # subnormal), both raise; elsewhere they agree
+    from hugelschaffer.area import area_exact
+
+    extremes = (1e-300, 1e-200, 1e-160, 1e-5, 1.0, 1e5, 1e150, 1e300)
+    returned = 0
+    for a, b, w in itertools.product(extremes, repeat=3):
+        params = CurveParams(a, b, w)
+        try:
+            exact = area_exact(params).total
+        except DomainError:
+            with pytest.raises(DomainError, match="outside the normal floats"):
+                quad_area(params)
+            continue
+        returned += 1
+        assert abs(quad_area(params).total - exact) <= 1e-13 * exact, (a, b, w)
+    assert returned == 330
 
 
 def test_simpson_evaluates_each_abscissa_once():

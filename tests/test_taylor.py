@@ -71,7 +71,7 @@ SECOND_KIND_CORRECTIONS_A = {
 def test_first_kind_table_fixtures_exact(name):
     approx = first_taylor(TARGETS[name], 10)
     assert [t.pi_coeff for t in approx.terms] == FIRST_KIND_COEFFS[name]
-    assert all(t.const_coeff == 0 and t.float_coeff == 0.0 for t in approx.terms)
+    assert all(t.const_coeff == 0 and t.float_coeff is None for t in approx.terms)
     assert [t.power for t in approx.terms] == [0, 2, 4, 6, 8, 10]
 
 
@@ -86,7 +86,7 @@ def test_second_kind_correction_fixtures_exact(fixtures, name):
         assert corr.power == degree
         assert corr.const_coeff == const
         assert corr.pi_coeff == pi_mult
-        assert corr.float_coeff == 0.0
+        assert corr.float_coeff is None
 
 
 def test_first_taylor_examples():
@@ -266,7 +266,22 @@ def test_one_pass_corrections_equal_the_per_degree_ones(target, beta):
     for j, corr in enumerate(corrections):
         reference = second_taylor(target, j, beta).terms[-1]
         assert corr == reference, (j, corr, reference)
-        assert corr.float_coeff.hex() == reference.float_coeff.hex()
+        # repr tells -0.0 from 0.0, and None (an exact term) from both
+        assert repr(corr.float_coeff) == repr(reference.float_coeff)
+
+
+def test_a_float_correction_that_cancels_to_zero_is_not_exact():
+    # from some degree on f(beta) - T_{j-1}(beta) cancels to 0.0; the term
+    # is still a float correction, not the exact zero of the beta = 1 path
+    cancelled = second_corrections(SeriesTarget.K, 60, 0.5)[55]
+    assert cancelled == PolyTerm(55, float_coeff=0.0)
+    assert not cancelled.is_exact()
+    assert cancelled.value() == 0.0
+    K, E, D, A = SeriesTarget
+    for target, beta in ((K, 0.5), (E, 0.5), (E, 0.7), (A, 0.5)):
+        corrections = second_corrections(target, 200, beta)
+        assert any(c.float_coeff == 0.0 for c in corrections), (target, beta)
+        assert not any(c.is_exact() for c in corrections), (target, beta)
 
 
 def test_chain_margins_equal_the_per_degree_evaluations():
