@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .elliptic import DomainError, SeriesTarget, target_value
 
@@ -156,16 +156,27 @@ def _horner(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
+def _evaluator(approx: TaylorApprox) -> Callable[[float], float]:
+    """``eval_approx`` at one approximant, its coefficients summed once for
+    every x it is called at."""
+    dense = approx.coefficients()
+
+    def evaluate(x: float) -> float:
+        if approx.beta is not None:
+            if not abs(x) <= approx.beta:  # written so that NaN fails it
+                raise DomainError(
+                    f"second approximation valid on [-{approx.beta}, {approx.beta}], got {x!r}"
+                )
+        else:
+            approx.target.check_domain(x)
+        return _horner(dense, x)
+
+    return evaluate
+
+
 def eval_approx(approx: TaylorApprox, x: float) -> float:
     """Evaluate the polynomial at x (Horner), with domain checks."""
-    if approx.beta is not None:
-        if not abs(x) <= approx.beta:  # written so that NaN fails it
-            raise DomainError(
-                f"second approximation valid on [-{approx.beta}, {approx.beta}], got {x!r}"
-            )
-    else:
-        approx.target.check_domain(x)
-    return _horner(approx.coefficients(), x)
+    return _evaluator(approx)(x)
 
 
 class ChainViolation(NamedTuple):

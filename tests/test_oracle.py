@@ -122,6 +122,46 @@ def test_quad_area_matches_closed_form():
             assert err < 1e-13, (spec.rule, params, err)
 
 
+# Gauss returns its halves uncorrected, so it needs a tolerance tight enough
+# that they sit at the rounding floor: under Simpson's 1e-11 these eggs came
+# out 1.53e-12 and 1.5e-9 off
+@pytest.mark.parametrize(
+    "params, rel",
+    [
+        (CurveParams(2.6109228188284304, 1.7419557133204686, 2.8110294181582867), 1e-14),
+        (CurveParams(1, 1, 1 - 1e-9), 1e-13),
+    ],
+)
+def test_gauss_quad_area_reaches_its_rounding_floor(params, rel):
+    from hugelschaffer.area import area_exact
+
+    exact = area_exact(params).total
+    gauss = quad_area(params, QuadratureSpec(rule=Rule.GAUSS_LEGENDRE)).total
+    assert abs(gauss - exact) <= rel * exact
+
+
+def test_simpson_output_keeps_its_bits():
+    # the values Simpson gave before Gauss got its own tolerance
+    areas = {
+        (4, 3, 2): "0x1.23d901685c724p+5",
+        (2, 3, 4): "0x1.23d901685c724p+3",
+        (1, 1, 1 - 1e-9): "0x1.5555555832576p+1",
+        (3e3, 1e3, 10): "0x1.1f9ef9bdd71d0p+23",
+    }
+    for abw, bits in areas.items():
+        assert quad_area(CurveParams(*abw)).total.hex() == bits, abw
+    integrals = {
+        ("K", 0.5): "0x1.af8d55d323f7ap+0",
+        ("K", 0.9): "0x1.23e908bf392fcp+1",
+        ("K", 1 - 1e-10): "0x1.91af4712bef4cp+3",
+        ("E", 0.5): "0x1.77ab9a753a8e8p+0",
+        ("E", 0.9): "0x1.2bf4568a84410p+0",
+        ("E", 1 - 1e-10): "0x1.000000052d340p+0",
+    }
+    for (kind, k), bits in integrals.items():
+        assert quad_elliptic(kind, k, DEFAULT_SPEC).hex() == bits, (kind, k)
+
+
 def test_quad_area_has_the_domain_of_area_exact():
     # where a*b*q lies outside the normal floats, as for (1e300, 1e300, 1)
     # (inf), (1e-200, 1e-200, 1e-200) (0.0) or (1e-160, 1e-160, 1e-160) (a
@@ -187,6 +227,13 @@ def test_quad_elliptic_no_false_convergence(kind, k, rule):
 def test_quad_elliptic_near_one(kind, k, rule):
     value = quad_elliptic(kind, k, QuadratureSpec(rule=rule))
     assert abs(value / _mpmath_ellip(kind, k) - 1.0) < 1e-11
+
+
+# K's peak of width k' at u = 0: the default rule, Gauss-Legendre, resolves
+# it to rounding, where Simpson's floor left it 4.0e-11 and 2.7e-12 off
+@pytest.mark.parametrize("k", [1.0 - 2.0**-53, 1.0 - 1e-14])
+def test_quad_elliptic_default_K_near_one_to_rounding(k):
+    assert abs(quad_elliptic("K", k) / _mpmath_ellip("K", k) - 1.0) <= 1e-15
 
 
 def test_gauss_nodes_are_the_newton_values_bit_for_bit():
