@@ -113,18 +113,19 @@ def check_J_relations(k: float) -> dict[str, float]:
         raise DomainError(f"modulus must lie in (0, 1), got {k!r}")
     k2 = k * k
     half_pi, pi = 0.5 * math.pi, math.pi
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
 
     def j1(t: float) -> float:
-        s = math.sin(t)
-        return s * s * math.cos(t)
+        s = sin(t)
+        return s * s * cos(t)
 
     def j2(t: float) -> float:
-        s = math.sin(t)
-        return s * s * math.sqrt(1.0 - k2 * (s * s))
+        s = sin(t)
+        return s * s * sqrt(1.0 - k2 * (s * s))
 
     def j3(t: float) -> float:
-        s, c = math.sin(t), math.cos(t)
-        return s * s * (c * c) / math.sqrt(1.0 - k2 * (s * s))
+        s, c = sin(t), cos(t)
+        return s * s * (c * c) / sqrt(1.0 - k2 * (s * s))
 
     return {
         "J1": abs(oracle.quad(j1, half_pi, pi) - (-1.0 / 3.0)),

@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Optional
@@ -384,6 +385,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# argparse reads an argument that starts with "-" as an option unless its
+# negative-number pattern matches.  That pattern differs between Python
+# versions, and on 3.10 and 3.11 it has no exponent, so "--tol -1e-14" was a
+# usage error where "--tol=-1e-14" reached the package's own check.  This one
+# matches every literal float() accepts, on every version.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_FLOAT = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+    r"|(?i:inf|infinity|nan))\Z"
+)
+
 
 def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True)
@@ -443,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("human", "json"))
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_FLOAT
     return parser
 
 

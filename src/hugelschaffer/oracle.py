@@ -120,7 +120,12 @@ _NODES, _WEIGHTS = _gauss_nodes()
 def _gauss_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(_NODES, _WEIGHTS))
+    # a plain loop in node order from 0.0, with no generator per panel: the
+    # same additions on every Python (sum() compensates float sums from 3.12)
+    total = 0.0
+    for xi, wi in zip(_NODES, _WEIGHTS):
+        total += wi * f(mid + half * xi)
+    return half * total
 
 
 def quad(
@@ -180,7 +185,9 @@ def _adaptive_simpson(f: Callable[[float], float], lo: float, hi: float) -> floa
         right = (b - mid) / 6.0 * (fm + 4.0 * f_right + fb)
         err = (left + right - whole) / 15.0
         abs_err = abs(err)
-        accept = max(tol, floor)
+        # max(tol, floor) without the builtin call, NaN included: a NaN
+        # floor fails the test and leaves tol
+        accept = floor if floor > tol else tol
         if (
             abs_err <= accept and parent_err <= _SIMPSON_PARENT_ERR_FACTOR * accept
         ) or (b - a) < 1e-300:
@@ -204,7 +211,7 @@ def _adaptive_gauss(f: Callable[[float], float], lo: float, hi: float) -> float:
         right = _gauss_panel(f, mid, b)
         total = left + right
         err = abs(total - whole)
-        if depth and (err <= max(tol, floor) or (b - a) < 1e-300):
+        if depth and (err <= (floor if floor > tol else tol) or (b - a) < 1e-300):
             return total
         if depth >= _MAX_DEPTH:
             raise DepthExhausted(total, err)
@@ -238,15 +245,16 @@ def quad_elliptic(
     if not (0.0 <= k <= 1.0) or (kind == "K" and k == 1.0):
         raise DomainError(f"modulus {k!r} outside the domain of {kind}")
     k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
+    sin, sqrt = math.sin, math.sqrt
 
     if kind == "K":
         def f(u: float) -> float:
-            s = math.sin(u)
-            return 1.0 / math.sqrt(kp2 + k2 * (s * s))
+            s = sin(u)
+            return 1.0 / sqrt(kp2 + k2 * (s * s))
     else:
         def f(u: float) -> float:
-            s = math.sin(u)
-            return math.sqrt(kp2 + k2 * (s * s))
+            s = sin(u)
+            return sqrt(kp2 + k2 * (s * s))
     return quad(f, 0.0, 0.5 * math.pi, spec)
 
 
@@ -260,13 +268,15 @@ def _unit_y_xprime(k: float) -> Callable[[float], float]:
     """y(t) x'(t) of the unit egg x = -k sin^2 t + cos t sqrt(1 - k^2 sin^2 t),
     y = sin t (an independent re-derivation), with one sin, cos and root
     per point."""
-    k2, kp2 = k * k, (1.0 - k) * (1.0 + k)
+    k2, kp2, two_k = k * k, (1.0 - k) * (1.0 + k), 2.0 * k
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
 
     def y_xprime(t: float) -> float:
-        s, c = math.sin(t), math.cos(t)
+        s, c = sin(t), cos(t)
+        k2cc = k2 * c * c
         # root >= k|c|, and the cosine of a float in [0, pi] is never 0
-        root = math.sqrt(kp2 + k2 * c * c)
-        return -s * s * (2.0 * k * c + root + k2 * c * c / root)
+        root = sqrt(kp2 + k2cc)
+        return -s * s * (two_k * c + root + k2cc / root)
 
     return y_xprime
 

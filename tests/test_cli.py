@@ -547,3 +547,30 @@ def test_negative_max_degree_is_a_usage_error():
 def test_negative_taylor_degree_is_a_usage_error():
     _usage_error("area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor",
                  "--n", "-1", flag="--n")
+
+
+def _in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("value", ["-1e-14", "-1E3", "-inf"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["area", "--a", "1", "--b", "1", "--w", "0.5", "--method", "series"], "--tol"),
+        (["area", "--b", "1", "--w", "1"], "--a"),
+        (["bounds", "--a", "1", "--b", "1"], "--w"),
+        (["area", "--a", "4", "--b", "3", "--w", "2", "--method", "taylor"], "--beta"),
+        (["approx-table", "--target", "K"], "--beta"),
+    ],
+)
+def test_negative_float_value_parses_as_its_equals_form(argv, option, value, capsys):
+    # "--tol -1e-14" once exited 2 as if -1e-14 were an option
+    spaced = _in_process([*argv, option, value], capsys)
+    assert spaced == _in_process([*argv, f"{option}={value}"], capsys)
+    assert spaced[0] == 1 and spaced[1] == "", spaced
